@@ -29,6 +29,23 @@ cargo test -q --workspace
 # its run (exit 3) instead of hanging CI forever.
 timeout="--timeout-secs 600"
 
+# Zero-change gate. prodigy-diff's own exit status fails only on a cycle
+# regression or a checksum mismatch, so this also asserts its header line
+# reports 0 changed metrics over a nonzero number of aligned units, and
+# that no unit is present on one side only.
+diff_zero() {
+    local out
+    out="$(./target/release/prodigy-diff "$@")" || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    local header
+    header="$(head -n1 <<<"$out")"
+    if [[ "$header" != *" 0 changed metrics,"* || "$header" == *" 0 units aligned"* ]] \
+        || grep -q '^  only in ' <<<"$out"; then
+        echo "   FAIL: expected 0 changed metrics and fully aligned units"
+        return 1
+    fi
+}
+
 echo "== determinism smoke: 1-thread vs 2-thread figure tables"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -61,21 +78,22 @@ echo "== diff smoke: same-seed scale-1 sweep pair must diff to zero"
     --json "$tmp/d1.json" fig02 >/dev/null
 ./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
     --json "$tmp/d2.json" fig02 >/dev/null
-./target/release/prodigy-diff "$tmp/d1.json" "$tmp/d2.json"
-if ! ./target/release/prodigy-diff BENCH_pr8_scale1.json "$tmp/d1.json" >/dev/null; then
-    echo "   note: results drifted from the checked-in BENCH_pr8_scale1.json"
-    echo "   baseline. If the change is intentional, regenerate it with:"
-    echo "   ./target/release/prodigy-eval --scale 1 --threads 2 --host-profile --json BENCH_pr8_scale1.json fig02"
+diff_zero "$tmp/d1.json" "$tmp/d2.json"
+echo "== baseline gate: scale-1 fig02 vs the checked-in BENCH_fig02_scale1.json"
+if ! diff_zero BENCH_fig02_scale1.json "$tmp/d1.json"; then
+    echo "   results drifted from the checked-in baseline. If the change is"
+    echo "   intentional, re-record it (and say why in CHANGES.md) with:"
+    echo "   ./target/release/prodigy-eval --scale 1 --threads 2 --json BENCH_fig02_scale1.json fig02"
+    exit 1
 fi
 # Non-gating host-throughput summary (varies run to run; for the log only).
 python3 - "$tmp/d1.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
-h = d.get("host", {})
-print(f"   host (non-gating): {h.get('cells_per_sec', '?')} cells/s, "
-      f"{h.get('host_nanos_total', 0)/1e9:.1f}s total cell time, "
-      f"p50 {h.get('cell_host_nanos_p50', 0)/1e9:.1f}s / "
-      f"p99 {h.get('cell_host_nanos_p99', 0)/1e9:.1f}s per cell")
+print(f"   host (non-gating): {d['cells_per_sec']} cells/s, "
+      f"{d['host_nanos_total']/1e9:.1f}s total cell time, "
+      f"p50 {d['cell_host_nanos_p50']/1e9:.1f}s / "
+      f"p99 {d['cell_host_nanos_p99']/1e9:.1f}s per cell")
 PY
 
 echo "== host-profile smoke: profiled run identical to unprofiled same-seed run"
@@ -83,7 +101,7 @@ echo "== host-profile smoke: profiled run identical to unprofiled same-seed run"
     --host-profile --json "$tmp/hp.json" fig02 >/dev/null
 # Gated: profiling observes host time only — zero changed simulated
 # metrics against the unprofiled run above.
-./target/release/prodigy-diff "$tmp/d1.json" "$tmp/hp.json"
+diff_zero "$tmp/d1.json" "$tmp/hp.json"
 # Gated: the per-component breakdown accounts for >= 90% of each profiled
 # cell's host time (the residual is reported as `other`, never dropped).
 # The per-component self-times themselves vary run to run: non-gating log.
@@ -162,15 +180,15 @@ cmp "$tmp/merged.json" "$tmp/full-canon.json"
 echo "   merged shards byte-identical to the canonicalized unsharded run: OK"
 # Gated: 0 changed metrics vs the live unsharded run and vs the checked-in
 # baseline (shards + merge must not perturb any simulated counter).
-./target/release/prodigy-diff "$tmp/d1.json" "$tmp/merged.json"
-./target/release/prodigy-diff BENCH_pr8_scale1.json "$tmp/merged.json"
+diff_zero "$tmp/d1.json" "$tmp/merged.json"
+diff_zero BENCH_fig02_scale1.json "$tmp/merged.json"
 # Warm-cache pass: every fig02 cell loads from the shards' shared disk
 # cache — zero cells simulated, and much faster than the cold shards.
 warm_ns=$(date +%s%N)
 ./target/release/prodigy-eval --scale 1 --threads 2 $timeout \
     --cell-cache "$cache" --json "$tmp/warm.json" fig02 >/dev/null
 warm_ns=$(( $(date +%s%N) - warm_ns ))
-./target/release/prodigy-diff "$tmp/d1.json" "$tmp/warm.json"
+diff_zero "$tmp/d1.json" "$tmp/warm.json"
 python3 - "$tmp/warm.json" "$cold_ns" "$warm_ns" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
@@ -189,7 +207,7 @@ echo "== metrics smoke: windowed series + attribution, same-seed identical"
 ./target/release/prodigy-eval --scale 64 --cores 2 \
     --metrics "$tmp/me2.json" --metrics-window 5000 >/dev/null
 cmp "$tmp/me1.json" "$tmp/me2.json"
-./target/release/prodigy-diff "$tmp/me1.json" "$tmp/me2.json"
+diff_zero "$tmp/me1.json" "$tmp/me2.json"
 python3 - "$tmp/me1.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))

@@ -158,7 +158,7 @@ fn main() {
         }
         // Final cache-contents provenance: who owns the resident lines.
         if let Some(occ) = &out.telemetry.occupancy {
-            let l3 = &occ.levels[2];
+            let l3 = &occ.l3;
             println!(
                 "  llc occupancy: {} lines — demand {}  prefetched {} (untagged {}, {} tagged sources)",
                 l3.total(),

@@ -16,37 +16,39 @@
 //!   runs' result checksums disagree, or a `--slo` assertion is violated
 //! - exit 2 — usage, I/O, parse, or malformed-SLO error
 //!
-//! Host timing (wall/host nanos, worker utilization, `host_profile`) is
-//! excluded from the comparison: a same-seed pair must diff to zero
-//! changes.
+//! Only simulated sections are compared (see `prodigy_bench::compare`): a
+//! same-seed pair must diff to zero changes.
 //!
 //! ## Latency SLOs
 //!
 //! `--slo "load_to_use_p99<=N"` asserts a simulated-latency quantile
 //! against every cell of the report under test (the NEW report when two
-//! are given; the sole report in single-report mode). Histograms:
-//! `load_to_use`, `fill_to_use`, `dram_round_trip`, plus the per-tier
-//! `near_load_to_use`/`far_load_to_use` rows that two-tier (far-memory)
-//! cells report; quantiles: `p50`, `p90`, `p99`, `max`. Quantiles are
-//! bucket-bound intervals `[lo, hi]`;
-//! the assertion compares the conservative upper bound `hi`, so a passing
-//! SLO holds for the exact (unbucketed) value too. Cells without the
-//! quantile (failed cells, empty histograms) are reported as n/a and do
-//! not violate.
+//! are given; the sole report in single-report mode). The histograms are
+//! the `Quantiles` fields of the `CellStats` record declaration (including
+//! the per-tier rows two-tier cells report), and the quantiles the fields
+//! of `HistQuantiles` (`p50`, `p90`, `p99`, `max`). Quantiles are
+//! bucket-bound intervals `[lo, hi]`; the assertion compares the
+//! conservative upper bound `hi`, so a passing SLO holds for the exact
+//! (unbucketed) value too. Cells without the quantile (failed cells, empty
+//! histograms) are reported as n/a and do not violate.
 //!
 //! ## Scalar SLOs
 //!
 //! `--slo "pollution_rate<=0.05"` asserts a per-cell scalar stat with a
-//! fractional bound. Scalars: `pollution_rate` and the per-source occupancy
-//! shares `l1_prefetch_occupancy`, `l2_prefetch_occupancy`,
-//! `l3_prefetch_occupancy`, `l3_top_source_occupancy`. A `null` stat (e.g.
-//! a cell whose prefetcher issued nothing) is n/a and does not violate,
-//! matching the quantile convention.
+//! fractional bound. The scalars are the `Ratio` fields of `CellStats`
+//! (accuracy, coverage, pollution rate, occupancy shares). A `null` stat
+//! (e.g. a cell whose prefetcher issued nothing) is n/a and does not
+//! violate, matching the quantile convention.
 
 use prodigy_bench::compare::{diff_reports, parse_json, Json};
+use prodigy_bench::CellStats;
+use prodigy_sim::record::{fields_of, Kind};
+use prodigy_sim::HistQuantiles;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: prodigy-diff OLD.json NEW.json [--threshold FRAC] [--slo SPEC]...
+fn usage() -> String {
+    format!(
+        "usage: prodigy-diff OLD.json NEW.json [--threshold FRAC] [--slo SPEC]...
        prodigy-diff REPORT.json --slo SPEC [--slo SPEC]...
 
   OLD.json / NEW.json   sweep reports (prodigy-eval --json) or metrics
@@ -57,21 +59,24 @@ const USAGE: &str = "usage: prodigy-diff OLD.json NEW.json [--threshold FRAC] [-
   --slo SPEC            assert a latency quantile or scalar stat on the
                         report under test (NEW.json, or the sole report).
                         Quantile SPEC is <hist>_<quantile><=<cycles>, e.g.
-                        load_to_use_p99<=4096 or far_load_to_use_p99<=8192;
-                        hist: load_to_use, fill_to_use, dram_round_trip,
-                        near_load_to_use, far_load_to_use; quantile: p50,
-                        p90, p99, max. Scalar SPEC is <stat><=<fraction>,
-                        e.g. pollution_rate<=0.05; stat: pollution_rate,
-                        l1/l2/l3_prefetch_occupancy,
-                        l3_top_source_occupancy. Repeatable; every spec
-                        must hold on every cell that reports the value
+                        load_to_use_p99<=4096; quantile: {}.
+                        Scalar SPEC is <stat><=<fraction>, e.g.
+                        pollution_rate<=0.05. Repeatable; every spec must
+                        hold on every cell that reports the value
                         (null/absent counts as n/a, not a violation).
+                        hist: {}
+                        stat: {}
 
-exit status: 0 ok, 1 regression/checksum mismatch/SLO violation, 2 bad input";
+exit status: 0 ok, 1 regression/checksum mismatch/SLO violation, 2 bad input",
+        slo_quantiles().join(", "),
+        slo_hists().join(", "),
+        slo_scalars().join(", "),
+    )
+}
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("prodigy-diff: {msg}");
-    eprintln!("{USAGE}");
+    eprintln!("{}", usage());
     ExitCode::from(2)
 }
 
@@ -95,23 +100,21 @@ struct Slo {
     raw: String,
 }
 
-const SLO_HISTS: &[&str] = &[
-    "load_to_use",
-    "fill_to_use",
-    "dram_round_trip",
-    "near_load_to_use",
-    "far_load_to_use",
-];
-const SLO_QUANTILES: &[&str] = &["p50", "p90", "p99", "max"];
-/// Gateable per-cell scalar stats (fractions in `[0, 1]`-ish space, so the
-/// bound parses as f64 rather than integer cycles).
-const SLO_SCALARS: &[&str] = &[
-    "pollution_rate",
-    "l1_prefetch_occupancy",
-    "l2_prefetch_occupancy",
-    "l3_prefetch_occupancy",
-    "l3_top_source_occupancy",
-];
+/// Gateable histograms: the quantile fields of a cell's `stats`.
+fn slo_hists() -> Vec<&'static str> {
+    fields_of::<CellStats>(Kind::Quantiles)
+}
+
+/// Gateable per-cell scalar stats: the ratio fields of a cell's `stats`
+/// (fractions, so the bound parses as f64 rather than integer cycles).
+fn slo_scalars() -> Vec<&'static str> {
+    fields_of::<CellStats>(Kind::Ratio)
+}
+
+/// Gateable quantiles: the intervals of a histogram's quantile record.
+fn slo_quantiles() -> Vec<&'static str> {
+    fields_of::<HistQuantiles>(Kind::Interval)
+}
 
 fn parse_slo(spec: &str) -> Result<Slo, String> {
     let bad = |why: &str| {
@@ -123,7 +126,7 @@ fn parse_slo(spec: &str) -> Result<Slo, String> {
         .split_once("<=")
         .ok_or_else(|| bad("expected <hist>_<quantile><=<cycles> or <stat><=<fraction>"))?;
     let lhs = lhs.trim();
-    if SLO_SCALARS.contains(&lhs) {
+    if slo_scalars().contains(&lhs) {
         let bound = rhs
             .trim()
             .parse::<f64>()
@@ -145,14 +148,17 @@ fn parse_slo(spec: &str) -> Result<Slo, String> {
     let (hist, quantile) = lhs
         .rsplit_once('_')
         .ok_or_else(|| bad("expected <hist>_<quantile> before <="))?;
-    if !SLO_HISTS.contains(&hist) {
+    if !slo_hists().contains(&hist) {
         return Err(bad(&format!(
-            "unknown histogram {hist:?}; expected one of {SLO_HISTS:?} (or a scalar of {SLO_SCALARS:?})"
+            "unknown histogram {hist:?}; expected one of {:?} (or a scalar of {:?})",
+            slo_hists(),
+            slo_scalars()
         )));
     }
-    if !SLO_QUANTILES.contains(&quantile) {
+    if !slo_quantiles().contains(&quantile) {
         return Err(bad(&format!(
-            "unknown quantile {quantile:?}; expected one of {SLO_QUANTILES:?}"
+            "unknown quantile {quantile:?}; expected one of {:?}",
+            slo_quantiles()
         )));
     }
     Ok(Slo {
@@ -165,13 +171,41 @@ fn parse_slo(spec: &str) -> Result<Slo, String> {
     })
 }
 
-/// Exact u64 from a number's raw source text (the interval bounds include
-/// `u64::MAX`, which `f64` cannot represent exactly).
-fn raw_u64(v: &Json) -> Option<u64> {
-    match v {
-        Json::Num(_, raw) => raw.parse::<u64>().ok(),
-        _ => None,
+/// One SLO's outcome over a report's cells.
+#[derive(Default)]
+struct Verdict {
+    checked: usize,
+    na: usize,
+    worst: Option<String>,
+    offenders: Vec<String>,
+}
+
+/// Checks `value(stats) <= bound` on every cell; `show` renders a value.
+fn gate<T: PartialOrd + Copy + std::fmt::Display>(
+    cells: &[Json],
+    bound: T,
+    value: impl Fn(&Json) -> Option<T>,
+    show: impl Fn(T) -> String,
+) -> Verdict {
+    let mut v = Verdict::default();
+    let mut worst: Option<T> = None;
+    for cell in cells {
+        let key = cell.get("key").and_then(Json::as_str).unwrap_or("?");
+        let Some(x) = cell.get("stats").and_then(&value) else {
+            v.na += 1;
+            continue;
+        };
+        v.checked += 1;
+        if worst.is_none_or(|w| x > w) {
+            worst = Some(x);
+            v.worst = Some(format!("worst {} ({key})", show(x)));
+        }
+        if x > bound {
+            v.offenders
+                .push(format!("    VIOLATED: {key} — {} > {bound}\n", show(x)));
+        }
     }
+    v
 }
 
 /// Evaluates every SLO against every cell of a sweep report. Returns the
@@ -184,83 +218,44 @@ fn check_slos(report: &Json, slos: &[Slo]) -> Result<(String, bool), String> {
     let mut out = String::new();
     let mut violated = false;
     for slo in slos {
-        let mut checked = 0usize;
-        let mut na = 0usize;
-        let mut offenders: Vec<String> = Vec::new();
-        let mut worst_txt = "no cell reports this value".to_string();
-        match &slo.kind {
+        let v = match &slo.kind {
+            // stats.<hist> is {"p50":[lo,hi],...} or null; the upper bound
+            // is read exactly (it can be `u64::MAX`).
             SloKind::Quantile {
                 hist,
                 quantile,
                 bound,
-            } => {
-                let mut worst: Option<(u64, String)> = None;
-                for cell in cells {
-                    let key = cell.get("key").and_then(Json::as_str).unwrap_or("?");
-                    // stats.<hist> is {"p50":[lo,hi],...} or null.
-                    let q = cell
-                        .get("stats")
-                        .and_then(|s| s.get(hist))
-                        .and_then(|h| h.get(quantile))
-                        .and_then(Json::as_arr)
-                        .filter(|a| a.len() == 2)
-                        .and_then(|a| raw_u64(&a[1]));
-                    let Some(hi) = q else {
-                        na += 1;
-                        continue;
-                    };
-                    checked += 1;
-                    if worst.as_ref().is_none_or(|(w, _)| hi > *w) {
-                        worst = Some((hi, key.to_string()));
-                    }
-                    if hi > *bound {
-                        violated = true;
-                        offenders.push(format!("    VIOLATED: {key} — {hi} > {bound}\n"));
-                    }
-                }
-                if let Some((w, key)) = worst {
-                    worst_txt = format!("worst {w} ({key})");
-                }
-            }
-            SloKind::Scalar { key: stat, bound } => {
-                let mut worst: Option<(f64, String)> = None;
-                for cell in cells {
-                    let key = cell.get("key").and_then(Json::as_str).unwrap_or("?");
-                    // stats.<stat> is a fraction or null (n/a).
-                    let v = cell
-                        .get("stats")
-                        .and_then(|s| s.get(stat))
-                        .and_then(Json::as_f64);
-                    let Some(v) = v else {
-                        na += 1;
-                        continue;
-                    };
-                    checked += 1;
-                    if worst.as_ref().is_none_or(|(w, _)| v > *w) {
-                        worst = Some((v, key.to_string()));
-                    }
-                    if v > *bound {
-                        violated = true;
-                        offenders.push(format!("    VIOLATED: {key} — {v:.6} > {bound}\n"));
-                    }
-                }
-                if let Some((w, key)) = worst {
-                    worst_txt = format!("worst {w:.6} ({key})");
-                }
-            }
-        }
+            } => gate(
+                cells,
+                *bound,
+                |s| match s.get(hist)?.get(quantile)?.as_arr()? {
+                    [_, hi] => hi.as_int::<u64>(),
+                    _ => None,
+                },
+                |x| x.to_string(),
+            ),
+            // stats.<stat> is a fraction or null (n/a).
+            SloKind::Scalar { key, bound } => gate(
+                cells,
+                *bound,
+                |s| s.get(key)?.as_f64(),
+                |x| format!("{x:.6}"),
+            ),
+        };
+        violated |= !v.offenders.is_empty();
         out.push_str(&format!(
-            "slo {}: {} — {checked} cells checked, {na} n/a, {worst_txt}\n",
+            "slo {}: {} — {} cells checked, {} n/a, {}\n{}",
             slo.raw,
-            if offenders.is_empty() {
+            if v.offenders.is_empty() {
                 "OK"
             } else {
                 "VIOLATED"
             },
+            v.checked,
+            v.na,
+            v.worst.as_deref().unwrap_or("no cell reports this value"),
+            v.offenders.concat(),
         ));
-        for line in offenders {
-            out.push_str(&line);
-        }
     }
     Ok((out, violated))
 }
@@ -294,7 +289,7 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             flag if flag.starts_with('-') => {

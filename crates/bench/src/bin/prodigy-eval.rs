@@ -53,8 +53,12 @@ use prodigy_bench::compare::{merge_reports, parse_json};
 use prodigy_bench::experiments::{run_all, shard_cells, Ctx, ShardSpec, EXPERIMENT_NAMES};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::{all_29, WorkloadSpec};
+use prodigy_sim::record::Record;
 use prodigy_sim::telemetry::parse_category_filter;
-use prodigy_sim::{chrome_trace_json, HistQuantiles, Log2Hist, MetricsConfig, TraceCategory};
+use prodigy_sim::{
+    chrome_trace_json, AttributionTable, HistQuantiles, Log2Hist, MetricSample, MetricsConfig,
+    TraceCategory,
+};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig};
 use std::path::Path;
 use std::time::Duration;
@@ -328,6 +332,42 @@ fn main() {
     }
 }
 
+/// The `--metrics` dump: run identity, the windowed series, per-source
+/// prefetch attribution and the run's simulated latency quantiles.
+#[derive(Debug, Default)]
+struct MetricsDump {
+    workload: String,
+    seed: u64,
+    window_cycles: u64,
+    windows_closed: u64,
+    samples: Vec<MetricSample>,
+    attribution: AttributionTable,
+    latency_quantiles: LatencyQuantiles,
+}
+
+prodigy_sim::record!(MetricsDump {
+    workload: Str,
+    seed: Counter,
+    window_cycles: Counter,
+    windows_closed: Counter,
+    samples: List,
+    attribution: Table,
+    latency_quantiles: Nested,
+});
+
+#[derive(Debug, Default)]
+struct LatencyQuantiles {
+    load_to_use: Option<HistQuantiles>,
+    fill_to_use: Option<HistQuantiles>,
+    dram_round_trip: Option<HistQuantiles>,
+}
+
+prodigy_sim::record!(LatencyQuantiles {
+    load_to_use: Null<Quantiles>,
+    fill_to_use: Null<Quantiles>,
+    dram_round_trip: Null<Quantiles>,
+});
+
 /// Single-run mode: one Prodigy run of `spec` (throttled, so throttle
 /// events appear), optionally traced as Chrome trace-event JSON and/or
 /// metered as a windowed metrics time-series with per-DIG-node prefetch
@@ -378,27 +418,21 @@ fn run_single(
     }
     if let Some(path) = metrics_path {
         let reg = outcome.metrics.as_ref().expect("metrics were installed");
-        let mj = reg.to_json();
-        // Splice run identity, the attribution table, and the simulated
-        // latency quantiles into the registry's own JSON object
-        // (hand-rolled like every serializer in this repo).
-        let quant = |h: &Log2Hist| {
-            HistQuantiles::from_hist(h)
-                .map(|q| q.to_json())
-                .unwrap_or_else(|| "null".to_string())
+        let tel = &outcome.telemetry;
+        let dump = MetricsDump {
+            workload: spec.name.to_string(),
+            seed: ctx.sweep.base_seed,
+            window_cycles: reg.config().window_cycles,
+            windows_closed: reg.windows_closed(),
+            samples: reg.samples(),
+            attribution: tel.attribution.clone(),
+            latency_quantiles: LatencyQuantiles {
+                load_to_use: HistQuantiles::from_hist(&tel.load_to_use),
+                fill_to_use: HistQuantiles::from_hist(&tel.fill_to_use),
+                dram_round_trip: HistQuantiles::from_hist(&tel.dram_round_trip),
+            },
         };
-        let json = format!(
-            "{{\"workload\":\"{}\",\"seed\":{},{},\"attribution\":{},\
-             \"latency_quantiles\":{{\"load_to_use\":{},\"fill_to_use\":{},\"dram_round_trip\":{}}}}}\n",
-            spec.name,
-            ctx.sweep.base_seed,
-            &mj[1..mj.len() - 1],
-            outcome.telemetry.attribution.to_json(),
-            quant(&outcome.telemetry.load_to_use),
-            quant(&outcome.telemetry.fill_to_use),
-            quant(&outcome.telemetry.dram_round_trip),
-        );
-        std::fs::write(path, &json).unwrap_or_else(|e| {
+        std::fs::write(path, dump.to_json() + "\n").unwrap_or_else(|e| {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         });
@@ -449,37 +483,11 @@ fn run_single(
         tel.dig_transitions, tel.throttle_ups, tel.throttle_downs
     );
     if let Some(hp) = &outcome.host_profile {
-        let total = outcome.timing.host_nanos;
         println!(
             "host profile (where the time goes, {:.1} ms total):",
-            total as f64 / 1e6
+            hp.host_nanos_total as f64 / 1e6
         );
-        let pct = |ns: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * ns as f64 / total as f64
-            }
-        };
-        for (comp, ns, allocs) in hp.ranked() {
-            if ns == 0 && allocs == 0 {
-                continue;
-            }
-            println!(
-                "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  {}",
-                pct(ns),
-                ns as f64 / 1e6,
-                allocs,
-                comp.label()
-            );
-        }
-        let other = total.saturating_sub(hp.total_self_ns());
-        println!(
-            "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  other",
-            pct(other),
-            other as f64 / 1e6,
-            hp.allocs[prodigy_sim::hostprof::COMPONENTS]
-        );
+        print!("{}", hp.render_rows("  "));
     }
 }
 

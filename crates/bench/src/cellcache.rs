@@ -30,20 +30,16 @@
 //! atomic rename so concurrent shard processes sharing one cache directory
 //! can never observe a half-written entry.
 
-use crate::compare::{parse_json, Json};
-use crate::sweep::{json_escape, stable_key_hash};
-use prodigy::ProdigyStats;
-use prodigy_sim::{
-    AttributionTable, CpiStack, EnergyBreakdown, LevelOccupancy, Log2Hist, OccupancySnapshot,
-    PollutionCounts, RunSummary, SourceCounts, Stats, SystemConfig, TelemetrySummary, TierSplit,
-    TierTelemetry, Timeliness,
-};
+use crate::sweep::stable_key_hash;
+use prodigy_sim::record::{escape, parse_json, Record};
+use prodigy_sim::SystemConfig;
 use prodigy_workloads::RunOutcome;
 use std::path::{Path, PathBuf};
 
-/// On-disk entry format version; bumped on any layout change so old entries
-/// miss instead of misparse.
-const FORMAT_VERSION: u64 = 1;
+/// On-disk entry format version; bumped whenever the payload's shape (the
+/// [`RunOutcome`] record declaration and the records it nests) changes, so
+/// old entries miss instead of misparse.
+const FORMAT_VERSION: u64 = 2;
 
 /// The effective code revision: the compile-time build fingerprint unless
 /// the `PRODIGY_CODE_REV` environment variable overrides it.
@@ -102,18 +98,18 @@ impl CellCache {
     pub fn load(&self, composite: &str) -> Option<RunOutcome> {
         let text = std::fs::read_to_string(self.path_for(composite)).ok()?;
         let v = parse_json(&text).ok()?;
-        if get_u64(&v, "version")? != FORMAT_VERSION {
+        if v.get("version")?.as_int::<u64>()? != FORMAT_VERSION {
             return None;
         }
         if v.get("key")?.as_str()? != composite {
             return None;
         }
         let stored_fnv = v.get("payload_fnv")?.as_str()?;
-        let out = outcome_from_json(v.get("payload")?).ok()?;
+        let out = RunOutcome::read(v.get("payload")?).ok()?;
         // Deep integrity: the reconstructed outcome must re-serialize to a
         // payload with the stored digest. This catches both bit corruption
         // and any parse that silently lost information.
-        if format!("{:016x}", stable_key_hash(&payload_json(&out))) != stored_fnv {
+        if format!("{:016x}", stable_key_hash(&out.to_json())) != stored_fnv {
             return None;
         }
         Some(out)
@@ -126,10 +122,10 @@ impl CellCache {
     /// # Errors
     /// Returns a message when the entry cannot be written.
     pub fn store(&self, composite: &str, out: &RunOutcome) -> Result<(), String> {
-        let payload = payload_json(out);
+        let payload = out.to_json();
         let entry = format!(
             "{{\"version\":{FORMAT_VERSION},\"key\":\"{}\",\"payload_fnv\":\"{:016x}\",\"payload\":{payload}}}\n",
-            json_escape(composite),
+            escape(composite),
             stable_key_hash(&payload),
         );
         let path = self.path_for(composite);
@@ -147,364 +143,62 @@ impl CellCache {
     }
 }
 
-// ------------------------------------------------------- serialization
-
-/// Serializes the deterministic subset of a [`RunOutcome`] — everything a
-/// warm figure run and `prodigy-diff` need. Host timing is deliberately
-/// absent (it would differ on every run); `f64`s are stored as IEEE-754 bit
-/// patterns so the round trip is lossless; trace/metrics opt-ins are never
-/// populated for sweep cells and are not stored.
-fn payload_json(out: &RunOutcome) -> String {
-    let s = &out.summary.stats;
-    let cpi = &s.cpi;
-    let e = &out.summary.energy;
-    let level = |l: &prodigy_sim::LevelStats| format!("[{},{},{}]", l.hits, l.misses, l.writebacks);
-    let prodigy = match &out.prodigy {
-        None => "null".to_string(),
-        Some(p) => format!(
-            "[{},{},{},{},{},{},{},{},{}]",
-            p.sequences_initiated,
-            p.sequences_dropped,
-            p.single_prefetches,
-            p.ranged_prefetches,
-            p.trigger_prefetches,
-            p.inline_advances,
-            p.pfhr_drops,
-            p.elements_advanced,
-            p.range_elements_tracked,
-        ),
-    };
-    format!(
-        concat!(
-            "{{\"stats\":{{",
-            "\"instructions\":{},\"loads\":{},\"stores\":{},\"branches\":{},",
-            "\"mispredicts\":{},\"cycles\":{},",
-            "\"l1d\":{},\"l2\":{},\"l3\":{},",
-            "\"dram_reads\":{},\"dram_writes\":{},\"dram_queue_cycles\":{},",
-            "\"tlb_hits\":{},\"tlb_misses\":{},",
-            "\"prefetches_issued\":{},\"prefetches_redundant\":{},\"prefetches_throttled\":{},",
-            "\"prefetch_use\":[{},{},{},{}],",
-            "\"llc_misses_prefetchable\":{},\"llc_misses_other\":{},",
-            "\"cpi_bits\":[{},{},{},{},{},{}]}},",
-            "\"energy_bits\":[{},{},{},{}],",
-            "\"prefetcher\":\"{}\",",
-            "\"checksum\":{},\"storage_bits\":{},\"seed\":{},",
-            "\"prodigy\":{},",
-            "\"telemetry\":{}}}"
-        ),
-        s.instructions,
-        s.loads,
-        s.stores,
-        s.branches,
-        s.mispredicts,
-        s.cycles,
-        level(&s.l1d),
-        level(&s.l2),
-        level(&s.l3),
-        s.dram_reads,
-        s.dram_writes,
-        s.dram_queue_cycles,
-        s.tlb_hits,
-        s.tlb_misses,
-        s.prefetches_issued,
-        s.prefetches_redundant,
-        s.prefetches_throttled,
-        s.prefetch_use.hit_l1,
-        s.prefetch_use.hit_l2,
-        s.prefetch_use.hit_l3,
-        s.prefetch_use.evicted_unused,
-        s.llc_misses_prefetchable,
-        s.llc_misses_other,
-        cpi.no_stall.to_bits(),
-        cpi.dram.to_bits(),
-        cpi.cache.to_bits(),
-        cpi.branch.to_bits(),
-        cpi.dependency.to_bits(),
-        cpi.other.to_bits(),
-        e.core.to_bits(),
-        e.cache.to_bits(),
-        e.dram.to_bits(),
-        e.other.to_bits(),
-        json_escape(&out.summary.prefetcher),
-        out.checksum,
-        out.storage_bits,
-        out.seed,
-        prodigy,
-        out.telemetry.to_json(),
-    )
-}
-
-/// Exact u64 from a parsed number's raw source text (`f64` would round
-/// checksums and bit patterns).
-fn num_u64(v: &Json) -> Result<u64, String> {
-    match v {
-        Json::Num(_, raw) => raw
-            .parse::<u64>()
-            .map_err(|e| format!("bad u64 {raw}: {e}")),
-        other => Err(format!("expected number, got {other:?}")),
-    }
-}
-
-fn get_u64(v: &Json, key: &str) -> Option<u64> {
-    num_u64(v.get(key)?).ok()
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
-    num_u64(v.get(key).ok_or_else(|| format!("missing field {key}"))?)
-}
-
-/// A fixed-length array of exact u64s.
-fn u64_array(v: &Json, key: &str, n: usize) -> Result<Vec<u64>, String> {
-    let arr = v
-        .get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array {key}"))?;
-    if arr.len() != n {
-        return Err(format!("{key}: expected {n} elements, got {}", arr.len()));
-    }
-    arr.iter().map(num_u64).collect()
-}
-
-fn level_stats(v: &Json, key: &str) -> Result<prodigy_sim::LevelStats, String> {
-    let a = u64_array(v, key, 3)?;
-    Ok(prodigy_sim::LevelStats {
-        hits: a[0],
-        misses: a[1],
-        writebacks: a[2],
-    })
-}
-
-fn hist_from_json(v: &Json, key: &str) -> Result<Log2Hist, String> {
-    let h = v.get(key).ok_or_else(|| format!("missing hist {key}"))?;
-    let count = field_u64(h, "count")?;
-    let sum = field_u64(h, "sum")?;
-    let mut sparse = Vec::new();
-    for pair in h
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{key}: missing buckets"))?
-    {
-        let p = pair
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{key}: malformed bucket pair"))?;
-        sparse.push((num_u64(&p[0])? as usize, num_u64(&p[1])?));
-    }
-    Log2Hist::from_parts(count, sum, &sparse)
-}
-
-fn tier_telemetry_from_json(v: &Json) -> Result<TierTelemetry, String> {
-    Ok(TierTelemetry {
-        load_to_use: hist_from_json(v, "load_to_use")?,
-        queue_wait: hist_from_json(v, "queue_wait")?,
-        demand_reads: field_u64(v, "demand_reads")?,
-        prefetch_reads: field_u64(v, "prefetch_reads")?,
-        writebacks: field_u64(v, "writebacks")?,
-    })
-}
-
-fn level_occupancy_from_json(v: &Json) -> Result<LevelOccupancy, String> {
-    let mut occ = LevelOccupancy {
-        demand: field_u64(v, "demand")?,
-        untagged: field_u64(v, "untagged")?,
-        ..LevelOccupancy::default()
-    };
-    // `total` is derived (demand + prefetched) and recomputed on
-    // re-serialization, so it need not be stored back.
-    for entry in v
-        .get("sources")
-        .and_then(Json::as_arr)
-        .ok_or("occupancy: missing sources")?
-    {
-        let tag = field_u64(entry, "tag")?;
-        let tag = u16::try_from(tag).map_err(|_| format!("occupancy tag {tag} out of range"))?;
-        occ.sources.insert(tag, field_u64(entry, "lines")?);
-    }
-    Ok(occ)
-}
-
-fn occupancy_from_json(v: &Json) -> Result<OccupancySnapshot, String> {
-    let levels = [
-        level_occupancy_from_json(v.get("l1").ok_or("occupancy: missing l1")?)?,
-        level_occupancy_from_json(v.get("l2").ok_or("occupancy: missing l2")?)?,
-        level_occupancy_from_json(v.get("l3").ok_or("occupancy: missing l3")?)?,
-    ];
-    // `near`/`far` exist only for two-tier runs; absence round-trips to
-    // `None`, mirroring the `tiers` telemetry section.
-    let tiers = match (v.get("near"), v.get("far")) {
-        (Some(n), Some(f)) => Some([level_occupancy_from_json(n)?, level_occupancy_from_json(f)?]),
-        _ => None,
-    };
-    Ok(OccupancySnapshot { levels, tiers })
-}
-
-fn telemetry_from_json(v: &Json) -> Result<TelemetrySummary, String> {
-    let t = v.get("timeliness").ok_or("missing timeliness")?;
-    // `tiers` exists only for two-tier runs; absence round-trips to `None`
-    // so single-tier entries re-serialize byte-identically (the digest
-    // check depends on this).
-    let tiers = match v.get("tiers") {
-        None => None,
-        Some(ts) => Some(TierSplit {
-            near: tier_telemetry_from_json(ts.get("near").ok_or("tiers: missing near")?)?,
-            far: tier_telemetry_from_json(ts.get("far").ok_or("tiers: missing far")?)?,
-        }),
-    };
-    let mut attribution = AttributionTable::default();
-    for entry in v
-        .get("attribution")
-        .and_then(Json::as_arr)
-        .ok_or("missing attribution")?
-    {
-        let tag = field_u64(entry, "tag")?;
-        let tag = u16::try_from(tag).map_err(|_| format!("attribution tag {tag} out of range"))?;
-        attribution.insert_counts(
-            tag,
-            SourceCounts {
-                issued: field_u64(entry, "issued")?,
-                timely: field_u64(entry, "timely")?,
-                late: field_u64(entry, "late")?,
-                inaccurate: field_u64(entry, "inaccurate")?,
-                dropped: field_u64(entry, "dropped")?,
-                polluting: field_u64(entry, "polluting")?,
-            },
-        );
-    }
-    let pv = v.get("pollution").ok_or("missing pollution")?;
-    Ok(TelemetrySummary {
-        timeliness: Timeliness {
-            timely: field_u64(t, "timely")?,
-            late: field_u64(t, "late")?,
-            inaccurate: field_u64(t, "inaccurate")?,
-            dropped: field_u64(t, "dropped")?,
-        },
-        load_to_use: hist_from_json(v, "load_to_use")?,
-        fill_to_use: hist_from_json(v, "fill_to_use")?,
-        late_wait: hist_from_json(v, "late_wait")?,
-        dram_round_trip: hist_from_json(v, "dram_round_trip")?,
-        dram_queue_wait: hist_from_json(v, "dram_queue_wait")?,
-        throttle_ups: field_u64(v, "throttle_ups")?,
-        throttle_downs: field_u64(v, "throttle_downs")?,
-        dig_transitions: field_u64(v, "dig_transitions")?,
-        pollution: PollutionCounts {
-            l1: field_u64(pv, "l1")?,
-            l2: field_u64(pv, "l2")?,
-            l3: field_u64(pv, "l3")?,
-        },
-        occupancy: match v.get("occupancy") {
-            None => None,
-            Some(o) => Some(occupancy_from_json(o)?),
-        },
-        tiers,
-        attribution,
-    })
-}
-
-/// Reconstructs the deterministic [`RunOutcome`] subset from a parsed
-/// payload. The inverse of [`payload_json`] (host timing comes back zeroed;
-/// trace/metrics come back `None`).
-fn outcome_from_json(p: &Json) -> Result<RunOutcome, String> {
-    let sv = p.get("stats").ok_or("missing stats")?;
-    let cpi_bits = u64_array(sv, "cpi_bits", 6)?;
-    let pf = u64_array(sv, "prefetch_use", 4)?;
-    let stats = Stats {
-        instructions: field_u64(sv, "instructions")?,
-        loads: field_u64(sv, "loads")?,
-        stores: field_u64(sv, "stores")?,
-        branches: field_u64(sv, "branches")?,
-        mispredicts: field_u64(sv, "mispredicts")?,
-        cycles: field_u64(sv, "cycles")?,
-        l1d: level_stats(sv, "l1d")?,
-        l2: level_stats(sv, "l2")?,
-        l3: level_stats(sv, "l3")?,
-        dram_reads: field_u64(sv, "dram_reads")?,
-        dram_writes: field_u64(sv, "dram_writes")?,
-        dram_queue_cycles: field_u64(sv, "dram_queue_cycles")?,
-        tlb_hits: field_u64(sv, "tlb_hits")?,
-        tlb_misses: field_u64(sv, "tlb_misses")?,
-        prefetches_issued: field_u64(sv, "prefetches_issued")?,
-        prefetches_redundant: field_u64(sv, "prefetches_redundant")?,
-        prefetches_throttled: field_u64(sv, "prefetches_throttled")?,
-        prefetch_use: prodigy_sim::PrefetchUse {
-            hit_l1: pf[0],
-            hit_l2: pf[1],
-            hit_l3: pf[2],
-            evicted_unused: pf[3],
-        },
-        llc_misses_prefetchable: field_u64(sv, "llc_misses_prefetchable")?,
-        llc_misses_other: field_u64(sv, "llc_misses_other")?,
-        cpi: CpiStack {
-            no_stall: f64::from_bits(cpi_bits[0]),
-            dram: f64::from_bits(cpi_bits[1]),
-            cache: f64::from_bits(cpi_bits[2]),
-            branch: f64::from_bits(cpi_bits[3]),
-            dependency: f64::from_bits(cpi_bits[4]),
-            other: f64::from_bits(cpi_bits[5]),
-        },
-    };
-    let eb = u64_array(p, "energy_bits", 4)?;
-    let prodigy = match p.get("prodigy").ok_or("missing prodigy")? {
-        Json::Null => None,
-        arr => {
-            let a: Vec<u64> = arr
-                .as_arr()
-                .filter(|a| a.len() == 9)
-                .ok_or("prodigy: expected 9 elements")?
-                .iter()
-                .map(num_u64)
-                .collect::<Result<_, _>>()?;
-            Some(ProdigyStats {
-                sequences_initiated: a[0],
-                sequences_dropped: a[1],
-                single_prefetches: a[2],
-                ranged_prefetches: a[3],
-                trigger_prefetches: a[4],
-                inline_advances: a[5],
-                pfhr_drops: a[6],
-                elements_advanced: a[7],
-                range_elements_tracked: a[8],
-            })
-        }
-    };
-    Ok(RunOutcome {
-        summary: RunSummary {
-            stats,
-            energy: EnergyBreakdown {
-                core: f64::from_bits(eb[0]),
-                cache: f64::from_bits(eb[1]),
-                dram: f64::from_bits(eb[2]),
-                other: f64::from_bits(eb[3]),
-            },
-            prefetcher: p
-                .get("prefetcher")
-                .and_then(Json::as_str)
-                .ok_or("missing prefetcher")?
-                .to_string(),
-        },
-        checksum: field_u64(p, "checksum")?,
-        prodigy,
-        storage_bits: field_u64(p, "storage_bits")?,
-        seed: field_u64(p, "seed")?,
-        timing: prodigy_sim::RunTiming::default(),
-        telemetry: telemetry_from_json(p.get("telemetry").ok_or("missing telemetry")?)?,
-        trace: None,
-        metrics: None,
-        host_profile: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prodigy::ProdigyStats;
+    use prodigy_sim::{
+        AttributionTable, CpiStack, EnergyBreakdown, HostProfile, LevelOccupancy, LevelStats,
+        Log2Hist, OccupancySnapshot, PollutionCounts, PrefetchUse, RunSummary, RunTiming,
+        SourceCounts, Stats, TelemetrySummary, TierSplit, TierTelemetry, Timeliness,
+    };
 
+    /// Every persisted field set, and nonzero, through exhaustive struct
+    /// literals: a new field fails to compile here until the fixture sets
+    /// it, and fails the round trip until its record declares it.
     fn sample_outcome() -> RunOutcome {
-        let mut stats = Stats {
+        let hist = |vals: &[u64]| {
+            let mut h = Log2Hist::new();
+            vals.iter().for_each(|&v| h.record(v));
+            h
+        };
+        let level = |demand, tag| LevelOccupancy {
+            demand,
+            untagged: 2,
+            sources: [(tag, 5), (4, 17)].into_iter().collect(),
+        };
+        let tier = |base: u64| TierTelemetry {
+            load_to_use: hist(&[base, 3 * base]),
+            queue_wait: hist(&[base / 10]),
+            demand_reads: base,
+            prefetch_reads: base + 1,
+            writebacks: base + 2,
+        };
+        let levels = |hits, misses, writebacks| LevelStats {
+            hits,
+            misses,
+            writebacks,
+        };
+        let mut attribution = AttributionTable::default();
+        let counts = SourceCounts {
+            issued: 512,
+            timely: 290,
+            late: 10,
+            inaccurate: 100,
+            dropped: 17,
+            polluting: 6,
+        };
+        attribution.insert_counts((1 << 8) | 2, counts);
+        let stats = Stats {
             instructions: 12_345,
             loads: 4_000,
             stores: 1_000,
             branches: 900,
             mispredicts: 33,
             cycles: 98_765,
+            l1d: levels(3_000, 1_000, 7),
+            l2: levels(600, 400, 5),
+            l3: levels(200, 200, 3),
             dram_reads: 210,
             dram_writes: 12,
             dram_queue_cycles: 4_400,
@@ -513,52 +207,23 @@ mod tests {
             prefetches_issued: 512,
             prefetches_redundant: 17,
             prefetches_throttled: 3,
+            prefetch_use: PrefetchUse {
+                hit_l1: 300,
+                hit_l2: 20,
+                hit_l3: 5,
+                evicted_unused: 100,
+            },
             llc_misses_prefetchable: 88,
             llc_misses_other: 11,
-            ..Stats::default()
-        };
-        stats.l1d.hits = 3_000;
-        stats.l1d.misses = 1_000;
-        stats.l2.misses = 400;
-        stats.l3.misses = 200;
-        stats.prefetch_use.hit_l1 = 300;
-        stats.prefetch_use.evicted_unused = 100;
-        stats.cpi.no_stall = 0.1234567890123;
-        stats.cpi.dram = 98765.4321;
-        let mut telemetry = TelemetrySummary {
-            throttle_ups: 4,
-            throttle_downs: 2,
-            dig_transitions: 777,
-            ..TelemetrySummary::default()
-        };
-        telemetry.timeliness.timely = 290;
-        telemetry.timeliness.late = 10;
-        telemetry.load_to_use.record(0);
-        telemetry.load_to_use.record(300);
-        telemetry.late_wait.record(17);
-        telemetry.attribution.insert_counts(
-            (1 << 8) | 2,
-            SourceCounts {
-                issued: 512,
-                timely: 290,
-                late: 10,
-                inaccurate: 100,
-                dropped: 17,
-                polluting: 6,
+            cpi: CpiStack {
+                no_stall: 0.1234567890123,
+                dram: 98765.4321,
+                cache: 1e-300,
+                branch: 0.1 + 0.2,
+                dependency: 7.0,
+                other: 1.0 / 3.0,
             },
-        );
-        telemetry.pollution = PollutionCounts {
-            l1: 1,
-            l2: 2,
-            l3: 3,
         };
-        let mut occ = OccupancySnapshot::default();
-        occ.levels[0].demand = 30;
-        occ.levels[0].untagged = 2;
-        occ.levels[0].sources.insert((1 << 8) | 2, 5);
-        occ.levels[2].demand = 900;
-        occ.levels[2].sources.insert(4, 17);
-        telemetry.occupancy = Some(occ);
         RunOutcome {
             summary: RunSummary {
                 stats,
@@ -568,7 +233,7 @@ mod tests {
                     dram: 7.0e-4,
                     other: 0.1,
                 },
-                prefetcher: "prodigy".into(),
+                prefetcher: "prodigy \"v2\"".into(),
             },
             checksum: 0xdead_beef_cafe_f00d,
             prodigy: Some(ProdigyStats {
@@ -584,96 +249,63 @@ mod tests {
             }),
             storage_bits: 57_344,
             seed: 42,
-            timing: prodigy_sim::RunTiming { host_nanos: 123 },
-            telemetry,
+            timing: RunTiming { host_nanos: 123 },
+            telemetry: TelemetrySummary {
+                timeliness: Timeliness {
+                    timely: 290,
+                    late: 10,
+                    inaccurate: 100,
+                    dropped: 17,
+                },
+                load_to_use: hist(&[0, 300]),
+                fill_to_use: hist(&[40]),
+                late_wait: hist(&[17]),
+                dram_round_trip: hist(&[200, 900]),
+                dram_queue_wait: hist(&[3]),
+                throttle_ups: 4,
+                throttle_downs: 2,
+                dig_transitions: 777,
+                pollution: PollutionCounts {
+                    l1: 1,
+                    l2: 2,
+                    l3: 3,
+                },
+                attribution,
+                tiers: Some(TierSplit {
+                    near: tier(150),
+                    far: tier(960),
+                }),
+                occupancy: Some(OccupancySnapshot {
+                    l1: level(30, 258),
+                    l2: level(60, 3),
+                    l3: level(900, 5),
+                    near: Some(level(800, 5)),
+                    far: Some(level(100, 6)),
+                }),
+            },
+            // Neither is persisted: they read back as their defaults.
             trace: None,
             metrics: None,
-            host_profile: None,
+            host_profile: Some(HostProfile::default()),
         }
     }
 
-    fn assert_outcomes_equal(a: &RunOutcome, b: &RunOutcome) {
-        // Compare through the lossless payload rendering: it covers every
-        // persisted field bit-for-bit (f64s as bit patterns).
-        assert_eq!(payload_json(a), payload_json(b));
+    /// `out` as the cache hands it back: host timing and the opt-in
+    /// sections are never persisted.
+    fn persisted(out: &RunOutcome) -> String {
+        let expected = RunOutcome {
+            timing: RunTiming::default(),
+            host_profile: None,
+            ..out.clone()
+        };
+        format!("{expected:?}")
     }
 
     #[test]
-    fn payload_round_trips_losslessly() {
+    fn payload_round_trips_every_declared_field() {
         let out = sample_outcome();
-        let payload = payload_json(&out);
-        let parsed = parse_json(&payload).expect("payload parses");
-        let back = outcome_from_json(&parsed).expect("payload reconstructs");
-        assert_outcomes_equal(&out, &back);
-        assert_eq!(back.timing.host_nanos, 0, "host timing is never persisted");
-        // Spot-check exact values survived (not just the rendering).
-        assert_eq!(back.checksum, 0xdead_beef_cafe_f00d);
-        assert_eq!(back.summary.stats.cpi.no_stall, 0.1234567890123);
-        assert_eq!(back.telemetry.load_to_use.count(), 2);
-        assert_eq!(
-            back.telemetry.attribution.get((1 << 8) | 2).unwrap().issued,
-            512
-        );
-        // Provenance payload survives the round trip exactly.
-        assert_eq!(
-            back.telemetry
-                .attribution
-                .get((1 << 8) | 2)
-                .unwrap()
-                .polluting,
-            6
-        );
-        assert_eq!(back.telemetry.pollution.total(), 6);
-        let occ = back.telemetry.occupancy.as_ref().expect("occupancy stored");
-        assert_eq!(occ.levels[0].total(), 37);
-        assert_eq!(occ.levels[0].sources.get(&((1 << 8) | 2)), Some(&5));
-        assert_eq!(occ.levels[2].sources.get(&4), Some(&17));
-        assert_eq!(occ.tiers, None);
-    }
-
-    #[test]
-    fn tiered_payload_round_trips_and_persists() {
-        let mut out = sample_outcome();
-        let mut split = TierSplit::default();
-        split.near.demand_reads = 100;
-        split.near.load_to_use.record(150);
-        split.near.queue_wait.record(3);
-        split.far.demand_reads = 40;
-        split.far.prefetch_reads = 9;
-        split.far.writebacks = 2;
-        split.far.load_to_use.record(960);
-        split.far.queue_wait.record(80);
-        out.telemetry.tiers = Some(split);
-        // Tiered occupancy: the L3 split must survive storage too.
-        let occ = out.telemetry.occupancy.as_mut().unwrap();
-        let near = LevelOccupancy {
-            demand: 800,
-            ..LevelOccupancy::default()
-        };
-        let mut far = LevelOccupancy {
-            demand: 100,
-            ..LevelOccupancy::default()
-        };
-        far.sources.insert(4, 17);
-        occ.tiers = Some([near, far]);
-        let payload = payload_json(&out);
-        assert!(payload.contains("\"tiers\":{\"near\":"), "{payload}");
-        assert!(payload.contains("\"occupancy\":{\"l1\":"), "{payload}");
-        let back = outcome_from_json(&parse_json(&payload).unwrap()).unwrap();
-        assert_outcomes_equal(&out, &back);
-        assert_eq!(back.telemetry.tiers.unwrap().far.load_to_use.sum(), 960);
-        let [_, far_back] = back.telemetry.occupancy.unwrap().tiers.unwrap();
-        assert_eq!(far_back.sources.get(&4), Some(&17));
-        // And the digest check accepts a stored two-tier entry.
-        let dir =
-            std::env::temp_dir().join(format!("prodigy-cellcache-tier-ut-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = CellCache::open(&dir).unwrap();
-        let key = "cell|far4|scale=1|sys=0|seed=0|rev=r";
-        cache.store(key, &out).unwrap();
-        let loaded = cache.load(key).expect("two-tier entry loads");
-        assert_outcomes_equal(&out, &loaded);
-        let _ = std::fs::remove_dir_all(&dir);
+        let back = RunOutcome::read(&parse_json(&out.to_json()).unwrap()).unwrap();
+        assert_eq!(format!("{back:?}"), persisted(&out));
     }
 
     #[test]
@@ -682,49 +314,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CellCache::open(&dir).unwrap();
         let out = sample_outcome();
-        let key = composite_key(
-            "pr|false|prodigy|16|false|0",
-            1,
-            &SystemConfig::default(),
-            0,
-            "testrev",
-        );
-        assert!(cache.load(&key).is_none(), "cold cache misses");
-        cache.store(&key, &out).unwrap();
-        let loaded = cache.load(&key).expect("warm cache hits");
-        assert_outcomes_equal(&out, &loaded);
+        let key = |cell: &str, scale, seed, rev: &str| {
+            composite_key(cell, scale, &SystemConfig::default(), seed, rev)
+        };
+        let cell = "pr|false|prodigy|16|false|0";
+        let hit = key(cell, 1, 0, "testrev");
+        assert!(cache.load(&hit).is_none(), "cold cache misses");
+        cache.store(&hit, &out).unwrap();
+        let loaded = cache.load(&hit).expect("warm cache hits");
+        assert_eq!(format!("{loaded:?}"), persisted(&out));
         // Changing any component of the address misses.
         for other in [
-            composite_key(
-                "pr|false|prodigy|16|false|0",
-                1,
-                &SystemConfig::default(),
-                7,
-                "testrev",
-            ),
-            composite_key(
-                "pr|false|prodigy|16|false|0",
-                1,
-                &SystemConfig::default(),
-                0,
-                "otherrev",
-            ),
-            composite_key(
-                "pr|false|prodigy|16|false|0",
-                64,
-                &SystemConfig::default(),
-                0,
-                "testrev",
-            ),
-            composite_key(
-                "pr|false|none|16|false|0",
-                1,
-                &SystemConfig::default(),
-                0,
-                "testrev",
-            ),
+            key(cell, 1, 7, "testrev"),
+            key(cell, 1, 0, "otherrev"),
+            key(cell, 64, 0, "testrev"),
+            key("pr|false|none|16|false|0", 1, 0, "testrev"),
         ] {
-            assert_ne!(other, key);
+            assert_ne!(other, hit);
             assert!(cache.load(&other).is_none(), "{other} must miss");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -743,6 +349,8 @@ mod tests {
         cache.store(key, &out).unwrap();
         let path = cache.path_for(key);
         let good = std::fs::read_to_string(&path).unwrap();
+        let version = format!("\"version\":{FORMAT_VERSION}");
+        assert!(good.contains(&version) && good.contains("\"cycles\":98765"));
 
         // Truncated entry.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
@@ -760,8 +368,12 @@ mod tests {
         std::fs::write(&path, "not json {{{").unwrap();
         assert!(cache.load(key).is_none(), "garbage entry is a miss");
 
+        // Nested deeply enough to overflow a recursive parser's stack.
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        assert!(cache.load(key).is_none(), "deeply nested entry is a miss");
+
         // Wrong format version.
-        std::fs::write(&path, good.replace("\"version\":1", "\"version\":999")).unwrap();
+        std::fs::write(&path, good.replace(&version, "\"version\":999")).unwrap();
         assert!(cache.load(key).is_none(), "future version is a miss");
 
         // And after all that abuse, re-storing repairs the entry.

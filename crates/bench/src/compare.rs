@@ -7,258 +7,16 @@
 //! key, or window start cycle), and reports every numeric delta plus a
 //! tier-1 regression verdict.
 //!
-//! The comparison deliberately ignores host-timing fields (`host_nanos`,
-//! `wall_nanos`, worker accounting, utilization): those vary run-to-run by
-//! construction, while every simulated counter is bit-deterministic for a
-//! given seed. A clean same-seed pair therefore diffs to *zero* changes —
-//! the CI smoke test locks that in — and any nonzero delta is a real
-//! behavioural difference.
-//!
-//! Everything is hand-rolled (parser included): the offline build has no
-//! serde.
+//! Only the simulated parts of a report are compared — each sweep cell's
+//! `stats` and `telemetry`, each metrics dump's `samples` and
+//! `attribution` — and every numeric field in them is compared. Host
+//! timing lives outside those sections, and every simulated counter is
+//! bit-deterministic for a given seed, so a clean same-seed pair diffs to
+//! *zero* changes and any nonzero delta is a real behavioural difference.
 
+use prodigy_sim::record::escape;
+pub use prodigy_sim::record::{parse_json, Json};
 use std::collections::BTreeMap;
-
-// ------------------------------------------------------------------ JSON
-
-/// A parsed JSON value. Numbers keep their raw source text so 64-bit
-/// checksums compare exactly even where `f64` would round.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number: parsed value plus raw source text.
-    Num(f64, String),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. Key order is preserved as a sorted map (duplicate keys:
-    /// last wins), which is all the diff needs.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v, _) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document. Returns a message with a byte offset on error.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let b = src.as_bytes();
-    let mut p = Parser { b, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != b.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut m = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            m.insert(k, v);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(m));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut v = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not produced by this
-                            // repo's serializers; map lone surrogates to
-                            // the replacement character.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = &self.b[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8")?
-                        .chars()
-                        .next()
-                        .unwrap();
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .map(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.b[start..self.pos]).unwrap();
-        let v: f64 = raw
-            .parse()
-            .map_err(|_| format!("bad number {raw:?} at byte {start}"))?;
-        Ok(Json::Num(v, raw.to_string()))
-    }
-}
 
 // ------------------------------------------------------------------ diff
 
@@ -288,45 +46,6 @@ impl ReportKind {
         }
     }
 }
-
-/// Host-varying fields excluded from the numeric diff. Everything else in
-/// these reports is simulated state and must be deterministic.
-const EXCLUDED: &[&str] = &[
-    "host_nanos",
-    "wall_nanos",
-    "busy_nanos",
-    "cells_per_sec",
-    "utilization",
-    "timing",
-    "worker",
-    "workers",
-    "jobs",
-    "threads",
-    "cache_hits",
-    "memo_hits",
-    "disk_hits",
-    "threads_leaked",
-    "disk_hit",
-    "host_profile",
-];
-
-/// Provenance/observability fields excluded from the numeric diff. These
-/// are deterministic, but they were introduced after baselines such as
-/// `BENCH_pr8_scale1.json` were checked in, and the flattener treats a
-/// field present on one side only as a change — so diffing a new report
-/// against an old baseline would flag every cell. Simulated *timing* is
-/// unaffected by provenance tracking (observe-only sidecar), which is
-/// exactly what the baseline gate must keep proving.
-const EXCLUDED_PROVENANCE: &[&str] = &[
-    "polluting",
-    "pollution",
-    "occupancy",
-    "pollution_rate",
-    "l1_prefetch_occupancy",
-    "l2_prefetch_occupancy",
-    "l3_prefetch_occupancy",
-    "l3_top_source_occupancy",
-];
 
 /// One changed metric in one aligned unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -382,11 +101,9 @@ pub struct DiffReport {
     pub threshold: f64,
 }
 
-/// Flattens numeric leaves of `v` into `out` under dotted `prefix` paths,
-/// skipping [`EXCLUDED`] and [`EXCLUDED_PROVENANCE`] fields. Array
-/// elements use their index; `null`
-/// (e.g. an `n/a` accuracy) is recorded as NaN so presence changes are
-/// visible.
+/// Flattens numeric leaves of `v` into `out` under dotted `prefix` paths.
+/// Array elements use their index; `null` (e.g. an `n/a` accuracy) is
+/// recorded as NaN so presence changes are visible.
 fn flatten(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
     match v {
         Json::Num(n, _) => {
@@ -406,9 +123,6 @@ fn flatten(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
         }
         Json::Obj(m) => {
             for (k, item) in m {
-                if EXCLUDED.contains(&k.as_str()) || EXCLUDED_PROVENANCE.contains(&k.as_str()) {
-                    continue;
-                }
                 let p = if prefix.is_empty() {
                     k.clone()
                 } else {
@@ -701,62 +415,6 @@ impl DiffReport {
 
 // ----------------------------------------------------------------- merge
 
-/// JSON string escaping for re-emission (mirrors the sweep serializer).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Canonical re-serialization of a parsed value: object keys in sorted
-/// (`BTreeMap`) order, numbers re-emitting their raw source text so 64-bit
-/// counters survive exactly.
-fn emit_json(v: &Json, out: &mut String) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(_, raw) => out.push_str(raw),
-        Json::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                emit_json(item, out);
-            }
-            out.push(']');
-        }
-        Json::Obj(m) => {
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape(k));
-                out.push_str("\":");
-                emit_json(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// Stitches shard sweep reports (from `prodigy-eval --shard K/N`) into one
 /// *canonical* merged report.
 ///
@@ -851,11 +509,11 @@ pub fn merge_reports(reports: &[Json]) -> Result<String, String> {
             "{{\"key\":\"{}\",\"timing\":{{\"host_nanos\":0}},\"worker\":null,\"disk_hit\":false,\"stats\":",
             escape(key)
         ));
-        emit_json(cell.get("stats").unwrap_or(&Json::Null), &mut s);
+        cell.get("stats").unwrap_or(&Json::Null).write(&mut s);
         s.push_str(",\"telemetry\":");
-        emit_json(cell.get("telemetry").unwrap_or(&Json::Null), &mut s);
+        cell.get("telemetry").unwrap_or(&Json::Null).write(&mut s);
         s.push_str(",\"error\":");
-        emit_json(cell.get("error").unwrap_or(&Json::Null), &mut s);
+        cell.get("error").unwrap_or(&Json::Null).write(&mut s);
         s.push('}');
     }
     s.push_str("]}");
@@ -888,31 +546,13 @@ mod tests {
     }
 
     #[test]
-    fn parser_handles_the_repo_shapes() {
+    fn sweep_reports_are_detected_with_exact_checksums() {
         let v = parse_json(&sweep_json(1000, 2000)).unwrap();
         assert_eq!(ReportKind::detect(&v).unwrap(), ReportKind::Sweep);
-        let cells = v.get("cells").unwrap().as_arr().unwrap();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(
-            cells[0]
-                .get("stats")
-                .unwrap()
-                .get("cycles")
-                .unwrap()
-                .as_f64(),
-            Some(1000.0)
-        );
+        let stats = v.get("cells").unwrap().as_arr().unwrap()[0].get("stats");
         // Raw text preserved for 64-bit-exact checksum comparison.
-        match cells[0].get("stats").unwrap().get("checksum").unwrap() {
-            Json::Num(_, raw) => assert_eq!(raw, "123456789123456789"),
-            other => panic!("expected number, got {other:?}"),
-        }
-        assert!(parse_json("{\"a\":[1,2,").is_err());
-        assert!(parse_json("nope").is_err());
-        assert_eq!(
-            parse_json("\"a\\u0041b\"").unwrap(),
-            Json::Str("aAb".into())
-        );
+        let checksum = stats.and_then(|s| s.get("checksum")).unwrap();
+        assert_eq!(checksum.as_int::<u64>(), Some(123456789123456789));
     }
 
     #[test]
@@ -1092,33 +732,6 @@ mod tests {
                 "\"worker\":0,\"host_profile\":{\"host_nanos_total\":777,\"other_ns\":9,\
                  \"components\":{\"kernel\":{\"self_ns\":768,\"allocs\":3}}},",
             );
-        let b = parse_json(&txt).unwrap();
-        let d = diff_reports(&a, &b, 0.02).unwrap();
-        assert!(d.changes.is_empty(), "{:?}", d.changes);
-        assert!(!d.regressed());
-    }
-
-    #[test]
-    fn provenance_fields_never_produce_changes() {
-        // Reports produced by a provenance-aware build gain occupancy and
-        // pollution columns the checked-in baselines predate. The flattener
-        // treats a field present on one side as a change, so these keys must
-        // be excluded or every old-vs-new diff would flag every cell.
-        let a = parse_json(&sweep_json(1000, 2000)).unwrap();
-        let txt = sweep_json(1000, 2000)
-            .replace(
-                "\"prefetch_coverage\":null}",
-                "\"prefetch_coverage\":null,\"pollution_rate\":0.25,\
-                 \"l1_prefetch_occupancy\":0.5,\"l2_prefetch_occupancy\":null,\
-                 \"l3_prefetch_occupancy\":0.125,\"l3_top_source_occupancy\":0.1}",
-            )
-            .replace(
-                "\"telemetry\":null",
-                "\"telemetry\":{\"polluting\":6,\
-                 \"pollution\":{\"l1\":1,\"l2\":2,\"l3\":3},\
-                 \"occupancy\":{\"l1\":{\"demand\":3,\"untagged\":0,\"total\":3,\"sources\":[]}}}",
-            );
-        assert_ne!(txt, sweep_json(1000, 2000), "replacements must have hit");
         let b = parse_json(&txt).unwrap();
         let d = diff_reports(&a, &b, 0.02).unwrap();
         assert!(d.changes.is_empty(), "{:?}", d.changes);

@@ -10,7 +10,7 @@ use crate::sweep::{
 use crate::workload_set::{all_29, per_algorithm, WorkloadSpec};
 use prodigy::{ProdigyConfig, ProdigyPrefetcher};
 use prodigy_sim::prefetch::Prefetcher;
-use prodigy_sim::SystemConfig;
+use prodigy_sim::{RunTiming, SystemConfig};
 use prodigy_workloads::kernels::PageRank;
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
 use std::collections::HashMap;
@@ -195,22 +195,24 @@ impl Ctx {
         let key = cell.key();
         self.cache.get_or_run(&key, || {
             let t0 = Instant::now();
+            let record = |timing, out: Option<&RunOutcome>, error, disk_hit| {
+                self.timings.lock().unwrap().push(CellTiming {
+                    key: key.clone(),
+                    timing,
+                    worker,
+                    telemetry: out.map(|o| o.telemetry.clone()),
+                    stats: out.map(CellStats::from_outcome),
+                    error,
+                    disk_hit,
+                    // Disk hits carry no profile: the cache never persists
+                    // host timing.
+                    host_profile: out.and_then(|o| o.host_profile),
+                });
+            };
             if let Some(cc) = &self.cell_cache {
                 if let Some(o) = cc.load(&self.disk_key(&key)) {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.timings.lock().unwrap().push(CellTiming {
-                        key: key.clone(),
-                        timing: prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
-                        worker,
-                        telemetry: Some(o.telemetry.clone()),
-                        stats: Some(CellStats::from_outcome(&o)),
-                        error: None,
-                        disk_hit: true,
-                        // Disk hits carry no profile: nothing was simulated
-                        // in this process and the cache never persists host
-                        // timing.
-                        host_profile: None,
-                    });
+                    record(RunTiming::from_elapsed(t0.elapsed()), Some(&o), None, true);
                     return Ok(Arc::new(o));
                 }
             }
@@ -221,25 +223,15 @@ impl Ctx {
             let out = run_isolated(&key, self.sweep.cell_timeout, move |cancel| {
                 execute_cell(&owned, sys, base_seed, profile, cancel)
             });
-            let (res, timing, telemetry, stats, host_profile, error) = match out {
+            match out {
                 Ok(o) => {
                     if let Some(cc) = &self.cell_cache {
                         if let Err(e) = cc.store(&self.disk_key(&key), &o) {
                             eprintln!("warning: cell cache store failed for {key}: {e}");
                         }
                     }
-                    let timing = o.timing;
-                    let telemetry = o.telemetry.clone();
-                    let stats = CellStats::from_outcome(&o);
-                    let host_profile = o.host_profile;
-                    (
-                        Ok(Arc::new(o)),
-                        timing,
-                        Some(telemetry),
-                        Some(stats),
-                        host_profile,
-                        None,
-                    )
+                    record(o.timing, Some(&o), None, false);
+                    Ok(Arc::new(o))
                 }
                 Err(e) => {
                     // Only truly stuck workers count: a timed-out cell whose
@@ -254,27 +246,11 @@ impl Ctx {
                         timed_out: e.timed_out,
                     };
                     self.errors.lock().unwrap().push(err.clone());
-                    (
-                        Err(err.clone()),
-                        prodigy_sim::RunTiming::from_elapsed(t0.elapsed()),
-                        None,
-                        None,
-                        None,
-                        Some(err),
-                    )
+                    let timing = RunTiming::from_elapsed(t0.elapsed());
+                    record(timing, None, Some(err.reason.clone()), false);
+                    Err(err)
                 }
-            };
-            self.timings.lock().unwrap().push(CellTiming {
-                key: key.clone(),
-                timing,
-                worker,
-                telemetry,
-                stats,
-                error: error.map(|e| e.reason),
-                disk_hit: false,
-                host_profile,
-            });
-            res
+            }
         })
     }
 
@@ -312,7 +288,7 @@ impl Ctx {
 
     /// Aggregated progress/timing report over everything this context ran.
     pub fn report(&self) -> SweepReport {
-        let cell_timings = self.timings.lock().unwrap().clone();
+        let cells = self.timings.lock().unwrap().clone();
         let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         SweepReport {
             threads: self.sweep.threads,
@@ -324,7 +300,7 @@ impl Ctx {
             errors: self.errors.lock().unwrap().clone(),
             wall: self.started.elapsed(),
             workers: self.workers.lock().unwrap().clone(),
-            cell_timings,
+            cells,
         }
     }
 }

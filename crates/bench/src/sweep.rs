@@ -57,7 +57,7 @@ impl Default for SweepConfig {
 }
 
 /// Why a cell failed (panic message or timeout).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellError {
     /// The failing cell's cache key.
     pub key: String,
@@ -70,6 +70,11 @@ pub struct CellError {
     /// Panics are deterministic for a given build and stay cached.
     pub timed_out: bool,
 }
+
+prodigy_sim::record!(CellError {
+    key: Str,
+    reason: Str,
+});
 
 impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -297,7 +302,7 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// One pool worker's accounting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStat {
     /// Worker index in `0..threads`.
     pub worker: usize,
@@ -306,6 +311,12 @@ pub struct WorkerStat {
     /// Jobs this worker executed.
     pub jobs: u64,
 }
+
+prodigy_sim::record!(WorkerStat {
+    worker: Counter,
+    busy_nanos: Counter = |w: &WorkerStat| w.busy.as_nanos(),
+    jobs: Counter,
+});
 
 /// Runs `f` over `items` on a bounded pool of `threads` scoped workers.
 ///
@@ -360,7 +371,7 @@ where
 /// `prodigy-diff` aligns by cell key and compares run-to-run. Everything
 /// here comes from simulated [`prodigy_sim::Stats`] (never host timing), so
 /// two same-seed sweeps serialize bit-identical `stats` objects.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CellStats {
     /// Simulated cycles (the tier-1 regression metric).
     pub cycles: u64,
@@ -390,8 +401,7 @@ pub struct CellStats {
     /// DRAM round-trip latency quantiles; `None` when empty.
     pub dram_round_trip: Option<prodigy_sim::HistQuantiles>,
     /// Near-tier (DRAM) demand load-to-use quantiles. `None` on single-tier
-    /// runs — the row is then absent from the JSON too, keeping single-tier
-    /// reports byte-identical to pre-tier baselines.
+    /// runs, whose JSON then has no such row.
     pub near_load_to_use: Option<prodigy_sim::HistQuantiles>,
     /// Far-tier demand load-to-use quantiles; the `prodigy-diff --slo
     /// far_load_to_use_p99<=N` gate reads this row. `None` on single-tier
@@ -422,6 +432,7 @@ impl CellStats {
     /// Extracts the summary from a finished run.
     pub fn from_outcome(out: &prodigy_workloads::RunOutcome) -> Self {
         let s = &out.summary.stats;
+        let occ = out.telemetry.occupancy.as_ref();
         CellStats {
             cycles: s.cycles,
             instructions: s.instructions,
@@ -449,21 +460,20 @@ impl CellStats {
             } else {
                 Some(out.telemetry.pollution.l3 as f64 / s.l3.misses.max(1) as f64)
             },
-            l1_prefetch_occupancy: Self::prefetch_share(&out.telemetry.occupancy, 0),
-            l2_prefetch_occupancy: Self::prefetch_share(&out.telemetry.occupancy, 1),
-            l3_prefetch_occupancy: Self::prefetch_share(&out.telemetry.occupancy, 2),
-            l3_top_source_occupancy: out.telemetry.occupancy.as_ref().and_then(|o| {
-                let lvl = &o.levels[2];
-                let top = lvl.sources.values().max().copied()?;
-                Some(top as f64 / lvl.total().max(1) as f64)
+            l1_prefetch_occupancy: Self::prefetch_share(occ.map(|o| &o.l1)),
+            l2_prefetch_occupancy: Self::prefetch_share(occ.map(|o| &o.l2)),
+            l3_prefetch_occupancy: Self::prefetch_share(occ.map(|o| &o.l3)),
+            l3_top_source_occupancy: occ.and_then(|o| {
+                let top = o.l3.sources.values().max().copied()?;
+                Some(top as f64 / o.l3.total().max(1) as f64)
             }),
         }
     }
 
     /// Still-unused-prefetch share of one level's resident lines; `None`
     /// when no snapshot exists or the level holds no lines.
-    fn prefetch_share(occ: &Option<prodigy_sim::OccupancySnapshot>, level: usize) -> Option<f64> {
-        let lvl = &occ.as_ref()?.levels[level];
+    fn prefetch_share(lvl: Option<&prodigy_sim::LevelOccupancy>) -> Option<f64> {
+        let lvl = lvl?;
         if lvl.total() == 0 {
             None
         } else {
@@ -475,62 +485,37 @@ impl CellStats {
     pub fn ipc(&self) -> f64 {
         self.instructions as f64 / self.cycles.max(1) as f64
     }
-
-    /// Serializes to a JSON object (hand-rolled; no serde offline).
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<f64>| match v {
-            Some(v) => format!("{v:.6}"),
-            None => "null".to_string(),
-        };
-        let quant = |v: &Option<prodigy_sim::HistQuantiles>| match v {
-            Some(q) => q.to_json(),
-            None => "null".to_string(),
-        };
-        let mut s = format!(
-            "{{\"cycles\":{},\"instructions\":{},\"ipc\":{:.6},\"checksum\":{},\
-             \"l1_misses\":{},\"l2_misses\":{},\"l3_misses\":{},\"dram_reads\":{},\
-             \"prefetches_issued\":{},\"prefetch_accuracy\":{},\"prefetch_coverage\":{},\
-             \"load_to_use\":{},\"fill_to_use\":{},\"dram_round_trip\":{},\
-             \"pollution_rate\":{},\"l1_prefetch_occupancy\":{},\
-             \"l2_prefetch_occupancy\":{},\"l3_prefetch_occupancy\":{},\
-             \"l3_top_source_occupancy\":{}",
-            self.cycles,
-            self.instructions,
-            self.ipc(),
-            self.checksum,
-            self.l1_misses,
-            self.l2_misses,
-            self.l3_misses,
-            self.dram_reads,
-            self.prefetches_issued,
-            opt(self.prefetch_accuracy),
-            opt(self.prefetch_coverage),
-            quant(&self.load_to_use),
-            quant(&self.fill_to_use),
-            quant(&self.dram_round_trip),
-            opt(self.pollution_rate),
-            opt(self.l1_prefetch_occupancy),
-            opt(self.l2_prefetch_occupancy),
-            opt(self.l3_prefetch_occupancy),
-            opt(self.l3_top_source_occupancy),
-        );
-        // Per-tier rows exist only for two-tier runs: single-tier cell JSON
-        // stays byte-identical to pre-tier baselines, so the refreshed
-        // baseline gate (`prodigy-diff`, which treats a field present on one
-        // side as a change) keeps passing.
-        if let Some(q) = &self.near_load_to_use {
-            s.push_str(&format!(",\"near_load_to_use\":{}", q.to_json()));
-        }
-        if let Some(q) = &self.far_load_to_use {
-            s.push_str(&format!(",\"far_load_to_use\":{}", q.to_json()));
-        }
-        s.push('}');
-        s
-    }
 }
 
+// The per-cell `stats` object of sweep reports. `prodigy-diff --slo`
+// accepts every `Quantiles` field as a histogram and every `Ratio` field
+// as a scalar; single-tier cells have no per-tier rows.
+prodigy_sim::record!(CellStats {
+    cycles: Counter,
+    instructions: Counter,
+    ipc: Fixed<6> = CellStats::ipc,
+    checksum: Counter,
+    l1_misses: Counter,
+    l2_misses: Counter,
+    l3_misses: Counter,
+    dram_reads: Counter,
+    prefetches_issued: Counter,
+    prefetch_accuracy: Ratio,
+    prefetch_coverage: Ratio,
+    load_to_use: Null<Quantiles>,
+    fill_to_use: Null<Quantiles>,
+    dram_round_trip: Null<Quantiles>,
+    pollution_rate: Ratio,
+    l1_prefetch_occupancy: Ratio,
+    l2_prefetch_occupancy: Ratio,
+    l3_prefetch_occupancy: Ratio,
+    l3_top_source_occupancy: Ratio,
+    near_load_to_use: Omit<Quantiles>,
+    far_load_to_use: Omit<Quantiles>,
+});
+
 /// Timing record of one executed (non-cached) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellTiming {
     /// The cell's cache key.
     pub key: String,
@@ -550,14 +535,27 @@ pub struct CellTiming {
     pub disk_hit: bool,
     /// Per-component host-time/allocation breakdown; `Some` only when the
     /// sweep ran with host profiling enabled and the cell was actually
-    /// simulated (disk hits carry no profile). Host telemetry only —
-    /// excluded from determinism comparisons like `timing`.
+    /// simulated (disk hits carry no profile). Host telemetry only, like
+    /// `timing`.
     pub host_profile: Option<prodigy_sim::HostProfile>,
 }
 
+// One entry of a sweep report's `cells` array. `prodigy-diff` compares
+// only `stats` and `telemetry`; the rest is host-side bookkeeping.
+prodigy_sim::record!(CellTiming {
+    key: Str,
+    timing: Nested,
+    worker: Null<Counter> = |t: &CellTiming| (t.worker != CALLER_THREAD).then_some(t.worker),
+    disk_hit: Bool,
+    host_profile: Null<Nested>,
+    stats: Null<Nested>,
+    telemetry: Null<Nested>,
+    error: Null<Str>,
+});
+
 /// Aggregated progress/timing report of a sweep, rendered to stderr and
 /// serialized to JSON beside the figure text.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SweepReport {
     /// Worker threads configured.
     pub threads: usize,
@@ -581,8 +579,30 @@ pub struct SweepReport {
     pub workers: Vec<WorkerStat>,
     /// Per-cell timings (execution order; nondeterministic across runs,
     /// unlike the simulation results themselves).
-    pub cell_timings: Vec<CellTiming>,
+    pub cells: Vec<CellTiming>,
 }
+
+// The `--json` sweep report. Everything outside `cells` is host telemetry
+// (`prodigy-diff` never compares it); `--merge` keeps only `base_seed`,
+// `errors` and the simulated part of each cell.
+prodigy_sim::record!(SweepReport {
+    threads: Counter,
+    base_seed: Counter,
+    cells_simulated: Counter,
+    memo_hits: Counter,
+    disk_hits: Counter,
+    threads_leaked: Counter,
+    wall_nanos: Counter = |r: &SweepReport| r.wall.as_nanos(),
+    cells_per_sec: Fixed<3> = SweepReport::cells_per_sec,
+    utilization: Fixed<4> = SweepReport::utilization,
+    host_nanos_total: Counter = SweepReport::total_cell_nanos,
+    cell_host_nanos_p50: Counter = |r: &SweepReport| r.cell_nanos_percentile(0.50),
+    cell_host_nanos_p99: Counter = |r: &SweepReport| r.cell_nanos_percentile(0.99),
+    host_profile: Null<Nested> = SweepReport::aggregate_host_profile,
+    workers: List,
+    errors: List,
+    cells: List,
+});
 
 impl SweepReport {
     /// Simulated cells per wall-clock second.
@@ -608,20 +628,13 @@ impl SweepReport {
     /// Total host time spent inside cell simulations (sum over cells; under
     /// an oversubscribed pool this exceeds wall time × cores).
     pub fn total_cell_nanos(&self) -> u128 {
-        self.cell_timings
-            .iter()
-            .map(|t| t.timing.host_nanos as u128)
-            .sum()
+        self.cells.iter().map(|t| t.timing.host_nanos as u128).sum()
     }
 
     /// Nearest-rank percentile of per-cell host time, in nanoseconds.
     /// `q` in [0, 1]; returns 0 when no cell was simulated.
     pub fn cell_nanos_percentile(&self, q: f64) -> u64 {
-        let mut v: Vec<u64> = self
-            .cell_timings
-            .iter()
-            .map(|t| t.timing.host_nanos)
-            .collect();
+        let mut v: Vec<u64> = self.cells.iter().map(|t| t.timing.host_nanos).collect();
         if v.is_empty() {
             return 0;
         }
@@ -630,27 +643,22 @@ impl SweepReport {
         v[rank - 1]
     }
 
-    /// Sweep-wide host profile: element-wise sum over every profiled cell,
-    /// plus the summed `host_nanos` of those cells (the denominator for the
-    /// `other` residual). `None` when no cell carried a profile (profiling
-    /// off, or everything came from cache).
-    pub fn aggregate_host_profile(&self) -> Option<(prodigy_sim::HostProfile, u64)> {
-        let mut acc = prodigy_sim::HostProfile::default();
-        let mut total: u64 = 0;
-        let mut any = false;
-        for t in &self.cell_timings {
-            if let Some(hp) = &t.host_profile {
-                acc.merge(hp);
-                total = total.saturating_add(t.timing.host_nanos);
-                any = true;
-            }
-        }
-        any.then_some((acc, total))
+    /// Sweep-wide host profile: element-wise sum over every profiled cell.
+    /// `None` when no cell carried a profile (profiling off, or everything
+    /// came from cache).
+    pub fn aggregate_host_profile(&self) -> Option<prodigy_sim::HostProfile> {
+        self.cells
+            .iter()
+            .filter_map(|t| t.host_profile)
+            .reduce(|mut acc, hp| {
+                acc.merge(&hp);
+                acc
+            })
     }
 
     /// The `n` slowest cells, slowest first.
     pub fn slowest(&self, n: usize) -> Vec<&CellTiming> {
-        let mut v: Vec<&CellTiming> = self.cell_timings.iter().collect();
+        let mut v: Vec<&CellTiming> = self.cells.iter().collect();
         v.sort_by_key(|t| std::cmp::Reverse(t.timing.host_nanos));
         v.truncate(n);
         v
@@ -685,136 +693,14 @@ impl SweepReport {
         for e in &self.errors {
             out.push_str(&format!("  error: {} — {}\n", e.key, e.reason));
         }
-        if let Some((hp, total)) = self.aggregate_host_profile() {
+        if let Some(hp) = self.aggregate_host_profile() {
             out.push_str(&format!(
-                "  host profile (where the time goes, {:.1} ms profiled):\n",
-                total as f64 / 1e6
-            ));
-            let pct = |ns: u64| {
-                if total == 0 {
-                    0.0
-                } else {
-                    100.0 * ns as f64 / total as f64
-                }
-            };
-            for (comp, ns, allocs) in hp.ranked() {
-                if ns == 0 && allocs == 0 {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "    {:>5.1}%  {:>10.2} ms  {:>10} allocs  {}\n",
-                    pct(ns),
-                    ns as f64 / 1e6,
-                    allocs,
-                    comp.label()
-                ));
-            }
-            let other = total.saturating_sub(hp.total_self_ns());
-            out.push_str(&format!(
-                "    {:>5.1}%  {:>10.2} ms  {:>10} allocs  other\n",
-                pct(other),
-                other as f64 / 1e6,
-                hp.allocs[prodigy_sim::hostprof::COMPONENTS]
+                "  host profile (where the time goes, {:.1} ms profiled):\n{}",
+                hp.host_nanos_total as f64 / 1e6,
+                hp.render_rows("    ")
             ));
         }
         out
-    }
-
-    /// Serializes the report to JSON (hand-rolled; the offline build has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push('{');
-        s.push_str(&format!("\"threads\":{},", self.threads));
-        s.push_str(&format!("\"base_seed\":{},", self.base_seed));
-        s.push_str(&format!("\"cells_simulated\":{},", self.cells_simulated));
-        s.push_str(&format!("\"memo_hits\":{},", self.memo_hits));
-        s.push_str(&format!("\"disk_hits\":{},", self.disk_hits));
-        s.push_str(&format!("\"threads_leaked\":{},", self.threads_leaked));
-        s.push_str(&format!("\"wall_nanos\":{},", self.wall.as_nanos()));
-        s.push_str(&format!("\"cells_per_sec\":{:.3},", self.cells_per_sec()));
-        s.push_str(&format!("\"utilization\":{:.4},", self.utilization()));
-        // Host-side throughput summary. Telemetry only: `prodigy-diff`
-        // ignores everything outside `cells`, so refreshed baselines never
-        // diff on host speed.
-        s.push_str(&format!(
-            "\"host\":{{\"cells_per_sec\":{:.3},\"cells_simulated\":{},\"memo_hits\":{},\"disk_hits\":{},\"threads_leaked\":{},\"host_nanos_total\":{},\"cell_host_nanos_p50\":{},\"cell_host_nanos_p99\":{}}},",
-            self.cells_per_sec(),
-            self.cells_simulated,
-            self.memo_hits,
-            self.disk_hits,
-            self.threads_leaked,
-            self.total_cell_nanos(),
-            self.cell_nanos_percentile(0.50),
-            self.cell_nanos_percentile(0.99),
-        ));
-        // Sweep-wide host profile (host telemetry only, like "host" above;
-        // `prodigy-diff` ignores everything outside `cells`).
-        match self.aggregate_host_profile() {
-            Some((hp, total)) => {
-                s.push_str(&format!("\"host_profile\":{},", hp.to_json(total)));
-            }
-            None => s.push_str("\"host_profile\":null,"),
-        }
-        s.push_str("\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"worker\":{},\"busy_nanos\":{},\"jobs\":{}}}",
-                w.worker,
-                w.busy.as_nanos(),
-                w.jobs
-            ));
-        }
-        s.push_str("],\"errors\":[");
-        for (i, e) in self.errors.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"key\":\"{}\",\"reason\":\"{}\"}}",
-                json_escape(&e.key),
-                json_escape(&e.reason)
-            ));
-        }
-        s.push_str("],\"cells\":[");
-        for (i, t) in self.cell_timings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let worker = if t.worker == CALLER_THREAD {
-                "null".to_string()
-            } else {
-                t.worker.to_string()
-            };
-            s.push_str(&format!(
-                "{{\"key\":\"{}\",\"timing\":{},\"worker\":{},\"disk_hit\":{},\"host_profile\":{},\"stats\":{},\"telemetry\":{},\"error\":{}}}",
-                json_escape(&t.key),
-                t.timing.to_json(),
-                worker,
-                t.disk_hit,
-                match &t.host_profile {
-                    Some(hp) => hp.to_json(t.timing.host_nanos),
-                    None => "null".to_string(),
-                },
-                match &t.stats {
-                    Some(cs) => cs.to_json(),
-                    None => "null".to_string(),
-                },
-                match &t.telemetry {
-                    Some(tel) => tel.to_json(),
-                    None => "null".to_string(),
-                },
-                match &t.error {
-                    Some(e) => format!("\"{}\"", json_escape(e)),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        s.push_str("]}");
-        s
     }
 }
 
@@ -832,26 +718,10 @@ pub fn stable_key_hash(s: &str) -> u64 {
     h
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prodigy_sim::record::Record;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1057,7 +927,7 @@ mod tests {
                     jobs: 2,
                 },
             ],
-            cell_timings: vec![CellTiming {
+            cells: vec![CellTiming {
                 key: "k".into(),
                 timing: prodigy_sim::RunTiming { host_nanos: 42 },
                 worker: CALLER_THREAD,
@@ -1065,34 +935,24 @@ mod tests {
                 stats: Some(CellStats {
                     cycles: 1000,
                     instructions: 1500,
-                    checksum: 7,
-                    l1_misses: 10,
-                    l2_misses: 5,
-                    l3_misses: 2,
-                    dram_reads: 2,
-                    prefetches_issued: 0,
-                    prefetch_accuracy: None,
                     prefetch_coverage: Some(0.5),
                     load_to_use: {
                         let mut h = prodigy_sim::Log2Hist::default();
                         h.record(3);
                         prodigy_sim::HistQuantiles::from_hist(&h)
                     },
-                    fill_to_use: None,
-                    dram_round_trip: None,
-                    near_load_to_use: None,
-                    far_load_to_use: None,
-                    pollution_rate: None,
                     l1_prefetch_occupancy: Some(0.25),
-                    l2_prefetch_occupancy: None,
                     l3_prefetch_occupancy: Some(0.125),
-                    l3_top_source_occupancy: None,
+                    ..CellStats::default()
                 }),
                 error: None,
                 disk_hit: false,
                 host_profile: Some({
-                    let mut hp = prodigy_sim::HostProfile::default();
-                    hp.self_ns[prodigy_sim::Component::Kernel as usize] = 30;
+                    let mut hp = prodigy_sim::HostProfile {
+                        host_nanos_total: 42,
+                        ..Default::default()
+                    };
+                    hp.components[prodigy_sim::Component::Kernel as usize].self_ns = 30;
                     hp
                 }),
             }],
@@ -1137,10 +997,9 @@ mod tests {
         assert!((report.utilization() - 0.5).abs() < 1e-9);
         assert!((report.cells_per_sec() - 5.0 / 1.5).abs() < 1e-9);
         assert!(
-            json.contains("\"host\":{\"cells_per_sec\":"),
-            "host throughput section present"
+            json.contains("\"utilization\":0.5000,\"host_nanos_total\":42,"),
+            "host throughput fields present: {json}"
         );
-        assert!(json.contains("\"host_nanos_total\":42"));
         assert!(
             json.contains("\"load_to_use\":{\"p50\":[2,3]"),
             "quantile intervals serialized in per-cell stats: {json}"
@@ -1177,26 +1036,10 @@ mod tests {
             prodigy_sim::HistQuantiles::from_hist(&h)
         };
         let cs = CellStats {
-            cycles: 10,
-            instructions: 10,
-            checksum: 0,
-            l1_misses: 0,
-            l2_misses: 0,
-            l3_misses: 0,
-            dram_reads: 0,
-            prefetches_issued: 0,
-            prefetch_accuracy: None,
-            prefetch_coverage: None,
             load_to_use: q,
-            fill_to_use: None,
-            dram_round_trip: None,
             near_load_to_use: q,
             far_load_to_use: q,
-            pollution_rate: None,
-            l1_prefetch_occupancy: None,
-            l2_prefetch_occupancy: None,
-            l3_prefetch_occupancy: None,
-            l3_top_source_occupancy: None,
+            ..CellStats::default()
         };
         let json = cs.to_json();
         assert!(json.contains("\"near_load_to_use\":{\"p50\":"), "{json}");
@@ -1205,44 +1048,52 @@ mod tests {
     }
 
     #[test]
+    fn slo_names_derive_from_the_cell_stats_declaration() {
+        use prodigy_sim::record::{fields_of, Kind};
+        assert_eq!(
+            fields_of::<CellStats>(Kind::Quantiles),
+            [
+                "load_to_use",
+                "fill_to_use",
+                "dram_round_trip",
+                "near_load_to_use",
+                "far_load_to_use"
+            ]
+        );
+        assert_eq!(
+            fields_of::<CellStats>(Kind::Ratio),
+            [
+                "prefetch_accuracy",
+                "prefetch_coverage",
+                "pollution_rate",
+                "l1_prefetch_occupancy",
+                "l2_prefetch_occupancy",
+                "l3_prefetch_occupancy",
+                "l3_top_source_occupancy"
+            ]
+        );
+    }
+
+    #[test]
     fn cell_percentiles_use_nearest_rank() {
         let cell = |nanos: u64| CellTiming {
-            key: "k".into(),
             timing: prodigy_sim::RunTiming { host_nanos: nanos },
-            worker: CALLER_THREAD,
-            telemetry: None,
-            stats: None,
-            error: None,
-            disk_hit: false,
-            host_profile: None,
+            ..CellTiming::default()
         };
         let report = SweepReport {
-            threads: 1,
-            base_seed: 0,
-            memo_hits: 0,
-            disk_hits: 0,
             cells_simulated: 4,
-            threads_leaked: 0,
-            errors: vec![],
-            wall: Duration::from_millis(1),
-            workers: vec![],
-            cell_timings: vec![cell(40), cell(10), cell(30), cell(20)],
+            cells: vec![cell(40), cell(10), cell(30), cell(20)],
+            ..SweepReport::default()
         };
         assert_eq!(report.cell_nanos_percentile(0.50), 20);
         assert_eq!(report.cell_nanos_percentile(0.99), 40);
         assert_eq!(report.cell_nanos_percentile(0.0), 10);
         assert_eq!(report.total_cell_nanos(), 100);
         let empty = SweepReport {
-            cell_timings: vec![],
+            cells: vec![],
             cells_simulated: 0,
             ..report
         };
         assert_eq!(empty.cell_nanos_percentile(0.5), 0);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -8,6 +8,7 @@ use prodigy_bench::compare::{diff_reports, merge_reports, parse_json};
 use prodigy_bench::experiments::{experiment_cells, shard_cells, Cell, Ctx, ShardSpec};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::WorkloadSpec;
+use prodigy_sim::record::Record;
 use prodigy_sim::SystemConfig;
 use prodigy_workloads::PrefetcherKind;
 use std::path::PathBuf;
@@ -35,21 +36,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The determinism fingerprint of one cell's outcome: everything except
-/// host timing (which a disk hit legitimately changes).
+/// The determinism fingerprint of one cell's outcome: its `RunOutcome`
+/// record, i.e. everything but host timing (which a disk hit legitimately
+/// changes).
 fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
-    let out = ctx.run(cell);
-    format!(
-        "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}|prodigy={:?}|telemetry={:?}",
-        cell.key(),
-        out.checksum,
-        out.seed,
-        out.summary.stats,
-        out.summary.energy,
-        out.storage_bits,
-        out.prodigy,
-        out.telemetry,
-    )
+    format!("{}|{}", cell.key(), ctx.run(cell).to_json())
 }
 
 fn small_grid(scale: u32) -> Vec<Cell> {
@@ -93,7 +84,7 @@ fn warm_disk_cache_satisfies_a_second_context_bit_identically() {
     );
     assert_eq!(warm_report.disk_hits, cells.len() as u64);
     assert!(warm_report
-        .cell_timings
+        .cells
         .iter()
         .all(|t| t.disk_hit && t.error.is_none()));
     let warm_prints: Vec<String> = cells.iter().map(|c| fingerprint(&warm, c)).collect();

@@ -6,6 +6,7 @@
 use prodigy_bench::experiments::{Cell, Ctx};
 use prodigy_bench::sweep::SweepConfig;
 use prodigy_bench::workload_set::WorkloadSpec;
+use prodigy_sim::record::Record;
 use prodigy_sim::{chrome_trace_json, MetricsConfig, SystemConfig};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
 
@@ -42,20 +43,10 @@ fn ctx_with(threads: usize, base_seed: u64) -> Ctx {
     ctx
 }
 
-/// The determinism fingerprint of one cell's outcome: everything except
-/// host timing. `Stats` carries no `PartialEq` (floats in the CPI stack),
-/// so the stable `Debug` rendering is the comparison form.
+/// The determinism fingerprint of one cell's outcome: its `RunOutcome`
+/// record, i.e. everything but host timing (floats in their exact form).
 fn fingerprint(ctx: &Ctx, cell: &Cell) -> String {
-    let out = ctx.run(cell);
-    format!(
-        "{}|checksum={}|seed={}|stats={:?}|energy={:?}|storage={}",
-        cell.key(),
-        out.checksum,
-        out.seed,
-        out.summary.stats,
-        out.summary.energy,
-        out.storage_bits,
-    )
+    format!("{}|{}", cell.key(), ctx.run(cell).to_json())
 }
 
 fn sweep_fingerprints(threads: usize, base_seed: u64) -> Vec<String> {
@@ -181,11 +172,7 @@ fn metrics_series_is_byte_identical_across_same_seed_runs() {
         !ma.samples().is_empty(),
         "a bfs-lj run must close at least one 5k-cycle window"
     );
-    assert_eq!(
-        ma.to_json(),
-        mb.to_json(),
-        "same-seed metrics series must be byte-identical"
-    );
+    assert_eq!(ma, mb, "same-seed metrics series must be identical");
     // The per-DIG-node attribution table is deterministic and populated.
     assert_eq!(a.telemetry, b.telemetry);
     assert!(

@@ -88,6 +88,18 @@ pub struct ProdigyStats {
     pub range_elements_tracked: u64,
 }
 
+prodigy_sim::record!(ProdigyStats {
+    sequences_initiated: Counter,
+    sequences_dropped: Counter,
+    single_prefetches: Counter,
+    ranged_prefetches: Counter,
+    trigger_prefetches: Counter,
+    inline_advances: Counter,
+    pfhr_drops: Counter,
+    elements_advanced: Counter,
+    range_elements_tracked: Counter,
+});
+
 impl ProdigyStats {
     /// Fraction of prefetched *data elements* reached via ranged edges —
     /// the §VI-C statistic (paper: 35.4–75.9 %, 55.3 % average for graph

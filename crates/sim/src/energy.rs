@@ -62,6 +62,13 @@ pub struct EnergyBreakdown {
     pub other: f64,
 }
 
+crate::record!(EnergyBreakdown {
+    core: Exact,
+    cache: Exact,
+    dram: Exact,
+    other: Exact,
+});
+
 impl EnergyBreakdown {
     /// Total energy in joules.
     pub fn total(&self) -> f64 {

@@ -21,6 +21,7 @@
 //! Counters are thread-local; a run profiled on one thread must be
 //! snapshotted on that same thread ([`snapshot_thread`]).
 
+use crate::record::{get, Codec, CodecKind, Fields, Json, Kind, Nested};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -123,11 +124,17 @@ pub fn reset_thread() {
     CURRENT.with(|c| c.set(NO_COMPONENT));
 }
 
-/// Snapshots this thread's counters into a [`HostProfile`].
+/// Snapshots this thread's counters into a [`HostProfile`] whose
+/// `host_nanos_total` is left for the caller, which owns the wall clock.
 pub fn snapshot_thread() -> HostProfile {
+    let (self_ns, allocs) = (SELF_NS.with(Cell::get), ALLOCS.with(Cell::get));
     HostProfile {
-        self_ns: SELF_NS.with(|c| c.get()),
-        allocs: ALLOCS.with(|c| c.get()),
+        host_nanos_total: 0,
+        allocs_unattributed: allocs[COMPONENTS],
+        components: std::array::from_fn(|i| ComponentTime {
+            self_ns: self_ns[i],
+            allocs: allocs[i],
+        }),
     }
 }
 
@@ -204,37 +211,87 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// A finished run's per-component host-time/allocation breakdown.
-///
-/// Host-side measurement only: excluded from determinism comparisons the
-/// same way `RunTiming` is (see `prodigy-diff`'s excluded-key list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostProfile {
-    /// Self-time nanoseconds per component (index = `Component as usize`).
-    pub self_ns: [u64; COMPONENTS],
-    /// Allocation counts per component; the extra trailing slot counts
-    /// allocations made outside any scope.
-    pub allocs: [u64; COMPONENTS + 1],
+/// One component's share of a profiled run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ComponentTime {
+    /// Self-time nanoseconds.
+    pub self_ns: u64,
+    /// Heap allocations made while the component was the innermost scope.
+    pub allocs: u64,
 }
 
-impl Default for HostProfile {
-    fn default() -> Self {
-        HostProfile {
-            self_ns: [0; COMPONENTS],
-            allocs: [0; COMPONENTS + 1],
+crate::record!(ComponentTime {
+    self_ns: Counter,
+    allocs: Counter,
+});
+
+/// A finished run's per-component host-time/allocation breakdown.
+///
+/// Host-side measurement only: `prodigy-diff` never compares it, the same
+/// way it never compares `RunTiming`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostProfile {
+    /// Wall-clock nanoseconds of the profiled run (summed when merged):
+    /// the total the components are a breakdown of.
+    pub host_nanos_total: u64,
+    /// Allocations made outside any scope.
+    pub allocs_unattributed: u64,
+    /// Per-component breakdown (index = `Component as usize`).
+    pub components: [ComponentTime; COMPONENTS],
+}
+
+// `other_ns` is the wall time no component claimed, reported explicitly
+// rather than silently dropped.
+crate::record!(HostProfile {
+    host_nanos_total: Counter,
+    other_ns: Counter = HostProfile::other_ns,
+    allocs_unattributed: Counter,
+    components: ByComponent,
+});
+
+/// The per-component rows as an object keyed by [`Component::label`].
+#[derive(Debug)]
+pub struct ByComponent;
+
+impl CodecKind for ByComponent {
+    const KIND: Kind = Kind::Record;
+}
+
+impl Codec<[ComponentTime; COMPONENTS]> for ByComponent {
+    fn write(v: &[ComponentTime; COMPONENTS], out: &mut String) {
+        Fields::object(out, |w| {
+            for c in ALL_COMPONENTS {
+                w.put::<_, Nested>(c.label(), &v[c as usize]);
+            }
+        });
+    }
+    fn read(v: &Json) -> Result<[ComponentTime; COMPONENTS], String> {
+        let mut rows = [ComponentTime::default(); COMPONENTS];
+        for c in ALL_COMPONENTS {
+            rows[c as usize] = get::<_, Nested>(v, c.label())?;
         }
+        Ok(rows)
     }
 }
 
 impl HostProfile {
     /// Sum of all component self-times.
     pub fn total_self_ns(&self) -> u64 {
-        self.self_ns.iter().fold(0u64, |a, &v| a.saturating_add(v))
+        self.components
+            .iter()
+            .fold(0u64, |a, c| a.saturating_add(c.self_ns))
+    }
+
+    /// Wall time not attributed to any component.
+    pub fn other_ns(&self) -> u64 {
+        self.host_nanos_total.saturating_sub(self.total_self_ns())
     }
 
     /// Sum of all attributed + unattributed allocation counts.
     pub fn total_allocs(&self) -> u64 {
-        self.allocs.iter().fold(0u64, |a, &v| a.saturating_add(v))
+        self.components
+            .iter()
+            .fold(self.allocs_unattributed, |a, c| a.saturating_add(c.allocs))
     }
 
     /// Whether nothing was recorded (e.g. the run was not profiled).
@@ -244,11 +301,13 @@ impl HostProfile {
 
     /// Element-wise accumulation (sweep-wide aggregation across cells).
     pub fn merge(&mut self, o: &HostProfile) {
-        for (a, b) in self.self_ns.iter_mut().zip(o.self_ns.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        for (a, b) in self.allocs.iter_mut().zip(o.allocs.iter()) {
-            *a = a.saturating_add(*b);
+        self.host_nanos_total = self.host_nanos_total.saturating_add(o.host_nanos_total);
+        self.allocs_unattributed = self
+            .allocs_unattributed
+            .saturating_add(o.allocs_unattributed);
+        for (a, b) in self.components.iter_mut().zip(o.components.iter()) {
+            a.self_ns = a.self_ns.saturating_add(b.self_ns);
+            a.allocs = a.allocs.saturating_add(b.allocs);
         }
     }
 
@@ -257,7 +316,10 @@ impl HostProfile {
     pub fn ranked(&self) -> Vec<(Component, u64, u64)> {
         let mut rows: Vec<(Component, u64, u64)> = ALL_COMPONENTS
             .iter()
-            .map(|&c| (c, self.self_ns[c as usize], self.allocs[c as usize]))
+            .map(|&c| {
+                let t = self.components[c as usize];
+                (c, t.self_ns, t.allocs)
+            })
             .collect();
         rows.sort_by(|a, b| {
             b.1.cmp(&a.1)
@@ -266,37 +328,41 @@ impl HostProfile {
         rows
     }
 
-    /// Serializes the breakdown against the run's total host time:
-    /// `host_nanos_total` is the enclosing wall measurement (`RunTiming`),
-    /// and the residual it does not attribute to any component is reported
-    /// explicitly as `other_ns` rather than silently dropped.
-    pub fn to_json(&self, host_nanos_total: u64) -> String {
-        let mut comps = String::new();
-        for &c in ALL_COMPONENTS.iter() {
-            if !comps.is_empty() {
-                comps.push(',');
+    /// The ranked "where the time goes" table against `host_nanos_total`:
+    /// one line per active component, then the unattributed `other`, each
+    /// prefixed with `indent`.
+    pub fn render_rows(&self, indent: &str) -> String {
+        let total = self.host_nanos_total;
+        let pct = |ns: u64| {
+            if total == 0 {
+                0.0
+            } else {
+                100.0 * ns as f64 / total as f64
             }
-            comps.push_str(&format!(
-                "\"{}\":{{\"self_ns\":{},\"allocs\":{}}}",
-                c.label(),
-                self.self_ns[c as usize],
-                self.allocs[c as usize]
+        };
+        let active = self
+            .ranked()
+            .into_iter()
+            .filter(|&(_, ns, a)| ns > 0 || a > 0);
+        let rows = active.map(|(c, ns, allocs)| (c.label(), ns, allocs));
+        let other = ("other", self.other_ns(), self.allocs_unattributed);
+        let mut out = String::new();
+        for (label, ns, allocs) in rows.chain([other]) {
+            out.push_str(&format!(
+                "{indent}{:>5.1}%  {:>10.2} ms  {:>10} allocs  {label}\n",
+                pct(ns),
+                ns as f64 / 1e6,
+                allocs
             ));
         }
-        let other_ns = host_nanos_total.saturating_sub(self.total_self_ns());
-        format!(
-            "{{\"host_nanos_total\":{},\"other_ns\":{},\"allocs_unattributed\":{},\"components\":{{{}}}}}",
-            host_nanos_total,
-            other_ns,
-            self.allocs[COMPONENTS],
-            comps
-        )
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Record;
 
     // The thread-local store is shared by every test on the same thread,
     // so the suite runs as one test body exercising each property in turn.
@@ -325,8 +391,8 @@ mod tests {
             spin(2_000_000);
         }
         let p = snapshot_thread();
-        let k = p.self_ns[Component::Kernel as usize];
-        let h = p.self_ns[Component::HierarchyWalk as usize];
+        let k = p.components[Component::Kernel as usize].self_ns;
+        let h = p.components[Component::HierarchyWalk as usize].self_ns;
         assert!(k > 0 && h > 0, "both components credited: {p:?}");
         // Self-times are exclusive: the sum can't exceed the wall time of
         // the outer scope by construction (saturating arithmetic aside).
@@ -346,8 +412,8 @@ mod tests {
             }
         }
         let p = snapshot_thread();
-        assert!(p.self_ns[Component::DramTick as usize] > 0);
-        assert!(p.self_ns[Component::TlbTick as usize] > 0);
+        assert!(p.components[Component::DramTick as usize].self_ns > 0);
+        assert!(p.components[Component::TlbTick as usize].self_ns > 0);
 
         // Alloc attribution follows the innermost open scope.
         reset_thread();
@@ -358,8 +424,8 @@ mod tests {
         }
         note_alloc(); // outside any scope -> unattributed slot
         let p = snapshot_thread();
-        assert_eq!(p.allocs[Component::Telemetry as usize], 2);
-        assert_eq!(p.allocs[COMPONENTS], 1);
+        assert_eq!(p.components[Component::Telemetry as usize].allocs, 2);
+        assert_eq!(p.allocs_unattributed, 1);
         assert_eq!(p.total_allocs(), 3);
 
         // Ranked order is by descending self-time; JSON reports the
@@ -367,7 +433,11 @@ mod tests {
         let ranked = p.ranked();
         assert_eq!(ranked.len(), COMPONENTS);
         assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1));
-        let js = p.to_json(1_000);
+        let js = HostProfile {
+            host_nanos_total: 1_000,
+            ..p
+        }
+        .to_json();
         assert!(js.contains("\"host_nanos_total\":1000"));
         assert!(js.contains("\"other_ns\":"));
         assert!(js.contains("\"telemetry\":{\"self_ns\":"));
@@ -376,7 +446,7 @@ mod tests {
         let mut acc = HostProfile::default();
         acc.merge(&p);
         acc.merge(&p);
-        assert_eq!(acc.allocs[Component::Telemetry as usize], 4);
+        assert_eq!(acc.components[Component::Telemetry as usize].allocs, 4);
 
         set_enabled(false);
         reset_thread();

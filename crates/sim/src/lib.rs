@@ -39,6 +39,7 @@ pub mod hostprof;
 pub mod mem;
 pub mod metrics;
 pub mod prefetch;
+pub mod record;
 pub mod stats;
 pub mod system;
 pub mod telemetry;

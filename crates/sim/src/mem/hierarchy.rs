@@ -992,27 +992,27 @@ impl MemorySystem {
         let _hp = ScopeGuard::enter(Component::Telemetry);
         let mut snap = OccupancySnapshot::default();
         for c in &self.l1d {
-            c.for_each_resident(|l, p| snap.levels[0].count(l.prefetched, p.src));
+            c.for_each_resident(|l, p| snap.l1.count(l.prefetched, p.src));
         }
         for c in &self.l2 {
-            c.for_each_resident(|l, p| snap.levels[1].count(l.prefetched, p.src));
+            c.for_each_resident(|l, p| snap.l2.count(l.prefetched, p.src));
         }
         if self.far.is_some() {
-            let mut tiers = [LevelOccupancy::default(), LevelOccupancy::default()];
+            let (mut near, mut far) = (LevelOccupancy::default(), LevelOccupancy::default());
             for c in &self.l3 {
                 c.for_each_resident(|l, p| {
-                    snap.levels[2].count(l.prefetched, p.src);
+                    snap.l3.count(l.prefetched, p.src);
                     let t = match self.tiers.tier_of(l.addr) {
-                        Tier::Near => &mut tiers[0],
-                        Tier::Far => &mut tiers[1],
+                        Tier::Near => &mut near,
+                        Tier::Far => &mut far,
                     };
                     t.count(l.prefetched, p.src);
                 });
             }
-            snap.tiers = Some(tiers);
+            (snap.near, snap.far) = (Some(near), Some(far));
         } else {
             for c in &self.l3 {
-                c.for_each_resident(|l, p| snap.levels[2].count(l.prefetched, p.src));
+                c.for_each_resident(|l, p| snap.l3.count(l.prefetched, p.src));
             }
         }
         snap
@@ -1218,20 +1218,24 @@ mod tests {
         m.prefetch(1, 0x4_0000, 0, &mut s);
         let snap = m.occupancy();
         let resident = m.resident_lines();
-        for (lvl, occ) in snap.levels.iter().enumerate() {
+        for (lvl, occ) in [&snap.l1, &snap.l2, &snap.l3].iter().enumerate() {
             assert_eq!(occ.total(), resident[lvl], "level {lvl} totals agree");
         }
         // L1s across both cores: 1 demand line + 3 unused prefetches.
-        assert_eq!(snap.levels[0].demand, 1);
-        assert_eq!(snap.levels[0].untagged, 1);
-        assert_eq!(snap.levels[0].sources.get(&3), Some(&1));
-        assert_eq!(snap.levels[0].sources.get(&((1 << 8) | 2)), Some(&1));
-        assert_eq!(snap.tiers, None, "single-tier machine has no split");
+        assert_eq!(snap.l1.demand, 1);
+        assert_eq!(snap.l1.untagged, 1);
+        assert_eq!(snap.l1.sources.get(&3), Some(&1));
+        assert_eq!(snap.l1.sources.get(&((1 << 8) | 2)), Some(&1));
+        assert_eq!(
+            (&snap.near, &snap.far),
+            (&None, &None),
+            "single-tier machine has no split"
+        );
         // Demanding a prefetched line moves it to the demand bucket.
         m.demand_access(0, 0x2_0000, AccessKind::Read, 10_000, &mut s);
         let snap = m.occupancy();
-        assert_eq!(snap.levels[0].demand, 2);
-        assert_eq!(snap.levels[0].sources.get(&3), None);
+        assert_eq!(snap.l1.demand, 2);
+        assert_eq!(snap.l1.sources.get(&3), None);
     }
 
     #[test]
@@ -1245,8 +1249,8 @@ mod tests {
         m.demand_access(0, 0x1_0000, AccessKind::Read, 0, &mut s);
         m.prefetch_tagged(0, 0x11_0000, 0, &mut s, Some(9));
         let snap = m.occupancy();
-        let [near, far] = snap.tiers.expect("tiered machine splits the L3");
-        assert_eq!(near.total() + far.total(), snap.levels[2].total());
+        let (near, far) = (snap.near.unwrap(), snap.far.unwrap());
+        assert_eq!(near.total() + far.total(), snap.l3.total());
         assert_eq!(near.demand, 1);
         assert_eq!(far.sources.get(&9), Some(&1));
     }

@@ -38,7 +38,7 @@ impl Default for MetricsConfig {
 
 /// One windowed snapshot. All rates are computed from the counter deltas of
 /// the window that just closed, not cumulative run totals.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSample {
     /// Cycle at which the window closed (multiple of `window_cycles`).
     pub cycle: u64,
@@ -75,43 +75,22 @@ pub struct MetricSample {
     pub occupancy: Option<OccupancySnapshot>,
 }
 
-impl MetricSample {
-    /// Serializes to one JSON object (hand-rolled; `Option` renders as
-    /// `null`, matching the report convention for "no data").
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<f64>) -> String {
-            match v {
-                Some(v) => format!("{v:.6}"),
-                None => "null".to_string(),
-            }
-        }
-        let occupancy = match &self.occupancy {
-            Some(o) => format!(",\"occupancy\":{}", o.to_json()),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"cycle\":{},\"instructions\":{},\"ipc\":{:.6},",
-                "\"l1_miss_rate\":{},\"l2_miss_rate\":{},\"l3_miss_rate\":{},",
-                "\"mlp\":{:.6},\"dram_queue_depth\":{:.6},",
-                "\"prefetch_accuracy\":{},\"prefetch_coverage\":{},",
-                "\"throttle_level\":{}{}}}"
-            ),
-            self.cycle,
-            self.instructions,
-            self.ipc,
-            opt(self.l1_miss_rate),
-            opt(self.l2_miss_rate),
-            opt(self.l3_miss_rate),
-            self.mlp,
-            self.dram_queue_depth,
-            opt(self.prefetch_accuracy),
-            opt(self.prefetch_coverage),
-            self.throttle_level,
-            occupancy,
-        )
-    }
-}
+// One line of the `--metrics` dump's `samples` array; `occupancy` is left
+// out until the first publication.
+crate::record!(MetricSample {
+    cycle: Counter,
+    instructions: Counter,
+    ipc: Fixed<6>,
+    l1_miss_rate: Ratio,
+    l2_miss_rate: Ratio,
+    l3_miss_rate: Ratio,
+    mlp: Fixed<6>,
+    dram_queue_depth: Fixed<6>,
+    prefetch_accuracy: Ratio,
+    prefetch_coverage: Ratio,
+    throttle_level: Counter,
+    occupancy: Omit<Nested>,
+});
 
 /// Counter snapshot at the close of the previous window; deltas against it
 /// yield per-window rates.
@@ -320,28 +299,12 @@ impl MetricsRegistry {
         out.extend_from_slice(&self.samples[..self.head]);
         out
     }
-
-    /// Serializes the series to JSON:
-    /// `{"window_cycles":N,"windows_closed":N,"samples":[...]}`.
-    pub fn to_json(&self) -> String {
-        let mut body = String::new();
-        for (i, s) in self.samples().iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push('\n');
-            body.push_str(&s.to_json());
-        }
-        format!(
-            "{{\"window_cycles\":{},\"windows_closed\":{},\"samples\":[{body}\n]}}",
-            self.cfg.window_cycles, self.windows_closed
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Record;
 
     #[test]
     fn windows_close_on_schedule_with_deltas() {
@@ -437,18 +400,22 @@ mod tests {
         let stats = Stats::default();
         reg.maybe_sample(10, &stats);
         let mut snap = OccupancySnapshot::default();
-        snap.levels[0].count(false, None);
-        snap.levels[0].count(true, Some(5));
+        snap.l1.count(false, None);
+        snap.l1.count(true, Some(5));
         reg.set_occupancy(snap);
         reg.maybe_sample(30, &stats);
         let s = reg.samples();
         assert_eq!(s[0].occupancy, None, "window closed before publication");
         let o1 = s[1].occupancy.as_ref().expect("gauge present");
-        assert_eq!(o1.levels[0].total(), 2);
+        assert_eq!(o1.l1.total(), 2);
         assert_eq!(s[2].occupancy, s[1].occupancy, "gauge holds its value");
-        let j = reg.to_json();
-        assert!(j.contains("\"throttle_level\":0}"), "pre-gauge sample bare");
-        assert!(j.contains("\"throttle_level\":0,\"occupancy\":{\"l1\":"));
+        assert!(
+            s[0].to_json().ends_with("\"throttle_level\":0}"),
+            "pre-gauge sample bare"
+        );
+        assert!(s[1]
+            .to_json()
+            .contains("\"throttle_level\":0,\"occupancy\":{\"l1\":"));
     }
 
     #[test]
@@ -458,10 +425,45 @@ mod tests {
             capacity: 4,
         });
         reg.maybe_sample(10, &Stats::default());
-        let j = reg.to_json();
-        assert!(j.starts_with("{\"window_cycles\":10,\"windows_closed\":1,"));
+        let j = reg.samples()[0].to_json();
+        assert!(j.starts_with("{\"cycle\":10,\"instructions\":0,\"ipc\":0.000000,"));
         assert!(j.contains("\"l1_miss_rate\":null"));
         assert!(j.contains("\"prefetch_accuracy\":null"));
+    }
+
+    /// Exhaustive literal: a new field fails to compile here until set,
+    /// and fails the round trip until declared. Fractions are exact in six
+    /// digits so the fixed-point fields read back bit-for-bit.
+    #[test]
+    fn sample_round_trips_every_declared_field() {
+        let level = |demand| crate::telemetry::LevelOccupancy {
+            demand,
+            untagged: 1,
+            sources: [(258, 4)].into_iter().collect(),
+        };
+        let sample = MetricSample {
+            cycle: 5_000,
+            instructions: 4_000,
+            ipc: 0.8,
+            l1_miss_rate: Some(0.125),
+            l2_miss_rate: Some(0.25),
+            l3_miss_rate: Some(0.5),
+            mlp: 1.5,
+            dram_queue_depth: 2.25,
+            prefetch_accuracy: Some(0.75),
+            prefetch_coverage: Some(0.375),
+            throttle_level: 3,
+            occupancy: Some(OccupancySnapshot {
+                l1: level(1),
+                l2: level(2),
+                l3: level(3),
+                near: Some(level(4)),
+                far: Some(level(5)),
+            }),
+        };
+        let json = crate::record::parse_json(&sample.to_json()).unwrap();
+        let back = MetricSample::read(&json).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{sample:?}"));
     }
 
     #[test]

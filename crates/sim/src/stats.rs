@@ -352,17 +352,63 @@ impl RunTiming {
     pub fn millis(&self) -> f64 {
         self.host_nanos as f64 / 1e6
     }
-
-    /// Serializes to a JSON object (the offline build has no serde; the
-    /// format is a single integer field, stable for tooling).
-    pub fn to_json(&self) -> String {
-        format!("{{\"host_nanos\":{}}}", self.host_nanos)
-    }
 }
+
+crate::record!(RunTiming {
+    host_nanos: Counter
+});
+
+crate::record!(LevelStats {
+    hits: Counter,
+    misses: Counter,
+    writebacks: Counter,
+});
+
+crate::record!(PrefetchUse {
+    hit_l1: Counter,
+    hit_l2: Counter,
+    hit_l3: Counter,
+    evicted_unused: Counter,
+});
+
+// Exact floats: the cell cache must hand back the bits it stored.
+crate::record!(CpiStack {
+    no_stall: Exact,
+    dram: Exact,
+    cache: Exact,
+    branch: Exact,
+    dependency: Exact,
+    other: Exact,
+});
+
+crate::record!(Stats {
+    instructions: Counter,
+    loads: Counter,
+    stores: Counter,
+    branches: Counter,
+    mispredicts: Counter,
+    cycles: Counter,
+    l1d: Nested,
+    l2: Nested,
+    l3: Nested,
+    dram_reads: Counter,
+    dram_writes: Counter,
+    dram_queue_cycles: Counter,
+    tlb_hits: Counter,
+    tlb_misses: Counter,
+    prefetches_issued: Counter,
+    prefetches_redundant: Counter,
+    prefetches_throttled: Counter,
+    prefetch_use: Nested,
+    llc_misses_prefetchable: Counter,
+    llc_misses_other: Counter,
+    cpi: Nested,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Record;
 
     #[test]
     fn cpi_stack_total_and_normalize() {

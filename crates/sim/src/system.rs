@@ -32,7 +32,7 @@ pub struct PhaseStats {
 }
 
 /// End-of-run summary combining counters and derived metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunSummary {
     /// All raw counters.
     pub stats: Stats,
@@ -42,14 +42,18 @@ pub struct RunSummary {
     pub prefetcher: String,
 }
 
+crate::record!(RunSummary {
+    stats: Nested,
+    energy: Nested,
+    prefetcher: Str,
+});
+
 /// A complete simulated machine.
 ///
-/// Generic over the per-core prefetcher type `P`. The default
-/// (`Box<dyn Prefetcher>`) keeps the flexible type-erased API; performance
-/// drivers monomorphise with a concrete type (e.g. an enum over all known
-/// prefetchers) so the per-instruction `on_demand`/`on_fill` calls dispatch
-/// statically instead of through a vtable.
-pub struct System<P: Prefetcher = Box<dyn Prefetcher>> {
+/// Generic over the per-core prefetcher type `P`: drivers monomorphise
+/// with a concrete type (e.g. an enum over all known prefetchers) so the
+/// per-instruction `on_demand`/`on_fill` calls dispatch statically.
+pub struct System<P: Prefetcher> {
     cfg: SystemConfig,
     mem: MemorySystem,
     space: AddressSpace,
@@ -73,10 +77,10 @@ impl<P: Prefetcher> std::fmt::Debug for System<P> {
     }
 }
 
-impl System {
+impl System<NullPrefetcher> {
     /// Builds a system with no prefetching (the paper's baseline).
     pub fn new(cfg: SystemConfig) -> Self {
-        Self::with_prefetchers(cfg, |_| Box::new(NullPrefetcher::new()))
+        Self::with_prefetchers(cfg, |_| NullPrefetcher::new())
     }
 }
 
@@ -482,9 +486,7 @@ mod tests {
         }
         let mut base = System::new(SystemConfig::scaled(64).with_cores(1));
         let t_base = stream(&mut base);
-        let mut pf = System::with_prefetchers(SystemConfig::scaled(64).with_cores(1), |_| {
-            Box::new(NextLine)
-        });
+        let mut pf = System::with_prefetchers(SystemConfig::scaled(64).with_cores(1), |_| NextLine);
         let t_pf = stream(&mut pf);
         assert!(
             t_pf * 10 < t_base * 9,
@@ -515,8 +517,8 @@ mod tests {
             .occupancy
             .as_ref()
             .expect("gauge published at window close");
-        assert!(occ.levels[0].total() > 0, "demand lines resident");
-        assert_eq!(occ.levels[0].prefetched(), 0, "no prefetcher configured");
+        assert!(occ.l1.total() > 0, "demand lines resident");
+        assert_eq!(occ.l1.prefetched(), 0, "no prefetcher configured");
     }
 
     #[test]

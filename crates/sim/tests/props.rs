@@ -217,13 +217,13 @@ proptest! {
             if i % 16 == 0 || i == ops.len() - 1 {
                 let snap = m.occupancy();
                 let resident = m.resident_lines();
-                for (lvl, occ) in snap.levels.iter().enumerate() {
+                for (lvl, occ) in [&snap.l1, &snap.l2, &snap.l3].iter().enumerate() {
                     let bucket_sum =
                         occ.demand + occ.untagged + occ.sources.values().sum::<u64>();
                     prop_assert_eq!(bucket_sum, occ.total(), "level {} buckets", lvl);
                     prop_assert_eq!(occ.total(), resident[lvl], "level {} vs resident", lvl);
                 }
-                prop_assert!(snap.tiers.is_none(), "single-tier machine");
+                prop_assert!(snap.near.is_none() && snap.far.is_none(), "single-tier machine");
             }
         }
     }

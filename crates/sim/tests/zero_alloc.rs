@@ -132,7 +132,7 @@ fn untraced_demand_path_performs_zero_allocations() {
         "profiling perturbed simulated counters"
     );
     assert!(
-        hp.self_ns[hostprof::Component::HierarchyWalk as usize] > 0,
+        hp.components[hostprof::Component::HierarchyWalk as usize].self_ns > 0,
         "a profiled run must attribute time to the hierarchy walk: {hp:?}"
     );
     assert!(

@@ -134,7 +134,7 @@ impl Default for RunConfig {
 }
 
 /// Everything a run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunOutcome {
     /// Counters + energy + prefetcher name.
     pub summary: RunSummary,
@@ -164,6 +164,18 @@ pub struct RunOutcome {
     pub host_profile: Option<prodigy_sim::HostProfile>,
 }
 
+// The deterministic subset the persistent cell cache stores: host timing
+// varies run to run, and trace/metrics/host-profile are opt-ins sweep
+// cells never set, so those read back as their defaults.
+prodigy_sim::record!(RunOutcome {
+    summary: Nested,
+    checksum: Counter,
+    prodigy: Null<Nested>,
+    storage_bits: Counter,
+    seed: Counter,
+    telemetry: Nested,
+});
+
 /// Runs `kernel` once under `cfg`.
 ///
 /// Thread-safe by construction: every call builds its own [`System`] and
@@ -173,47 +185,6 @@ pub struct RunOutcome {
 /// returned stats and checksum are bit-identical on every host and under
 /// any thread interleaving.
 pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
-    // `System<AnyPrefetcher>`: the per-instruction prefetcher dispatch is a
-    // match over a closed enum (see `crate::dispatch`), not a vtable call.
-    run_workload_with(
-        kernel,
-        cfg,
-        |_| AnyPrefetcher::None(NullPrefetcher::new()),
-        AnyPrefetcher::build,
-    )
-}
-
-/// [`run_workload`] through `Box<dyn Prefetcher>` — the open trait-object
-/// path `System` defaults to. Dispatch strategy must never affect simulated
-/// results; the dispatch-parity test compares this against [`run_workload`]
-/// cell by cell.
-pub fn run_workload_boxed(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
-    run_workload_with(
-        kernel,
-        cfg,
-        |_| Box::new(NullPrefetcher::new()) as Box<dyn prodigy_sim::prefetch::Prefetcher>,
-        |kind, dig, pcfg| match AnyPrefetcher::build(kind, dig, pcfg) {
-            AnyPrefetcher::None(p) => Box::new(p),
-            AnyPrefetcher::Stride(p) => Box::new(p),
-            AnyPrefetcher::Stream(p) => Box::new(p),
-            AnyPrefetcher::GhbGdc(p) => Box::new(p),
-            AnyPrefetcher::Imp(p) => Box::new(p),
-            AnyPrefetcher::AinsworthJones(p) => Box::new(p),
-            AnyPrefetcher::Droplet(p) => Box::new(p),
-            AnyPrefetcher::Prodigy(p) => Box::new(p),
-        },
-    )
-}
-
-/// The driver body, generic over the prefetcher representation. `idle`
-/// builds the placeholder attached while the kernel lays out memory;
-/// `build` constructs the configured prefetcher once the DIG is known.
-fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
-    kernel: &mut dyn Kernel,
-    cfg: &RunConfig,
-    idle: impl FnMut(usize) -> P,
-    build: impl Fn(PrefetcherKind, &prodigy::Dig, ProdigyConfig) -> P,
-) -> RunOutcome {
     if cfg.host_profile {
         // Enabling is monotonic for the process lifetime: concurrent
         // profiled cells each account into their own thread-local store,
@@ -226,7 +197,10 @@ fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
     let setup_scope = cfg
         .host_profile
         .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Setup));
-    let mut sys: System<P> = System::with_prefetchers(cfg.sys, idle);
+    // `System<AnyPrefetcher>`: the per-instruction prefetcher dispatch is a
+    // match over a closed enum (see `crate::dispatch`), not a vtable call.
+    let mut sys: System<AnyPrefetcher> =
+        System::with_prefetchers(cfg.sys, |_| AnyPrefetcher::None(NullPrefetcher::new()));
     if cfg.trace {
         sys.install_trace_sink(Box::new(MemorySink::new()));
     }
@@ -247,7 +221,7 @@ fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
     let program = DigProgram::from_dig(&dig);
 
     let prodigy_cfg = cfg.prodigy;
-    sys.set_prefetchers(|_| build(cfg.prefetcher, &dig, prodigy_cfg));
+    sys.set_prefetchers(|_| AnyPrefetcher::build(cfg.prefetcher, &dig, prodigy_cfg));
     // The instrumented binary's registration prologue (no-op unless the
     // hardware is Prodigy).
     sys.program_prefetchers(|p| program.apply(p));
@@ -302,9 +276,11 @@ fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
             .map(|m| std::mem::take(&mut m.events))
             .unwrap_or_default()
     });
-    let host_profile = cfg
-        .host_profile
-        .then(prodigy_sim::hostprof::snapshot_thread);
+    let timing = prodigy_sim::RunTiming::from_elapsed(host_start.elapsed());
+    let host_profile = cfg.host_profile.then(|| prodigy_sim::HostProfile {
+        host_nanos_total: timing.host_nanos,
+        ..prodigy_sim::hostprof::snapshot_thread()
+    });
 
     RunOutcome {
         summary: sys.summary(),
@@ -312,7 +288,7 @@ fn run_workload_with<P: prodigy_sim::prefetch::Prefetcher + 'static>(
         prodigy: prodigy_stats,
         storage_bits,
         seed: cfg.seed,
-        timing: prodigy_sim::RunTiming::from_elapsed(host_start.elapsed()),
+        timing,
         telemetry,
         trace,
         metrics,
@@ -390,8 +366,11 @@ mod tests {
             .occupancy
             .as_ref()
             .expect("harvest stamps the final cache contents");
-        assert!(occ.levels[2].total() > 0, "LLC holds lines at run end");
-        assert_eq!(occ.tiers, None, "single-tier machine has no split");
+        assert!(occ.l3.total() > 0, "LLC holds lines at run end");
+        assert!(
+            occ.near.is_none() && occ.far.is_none(),
+            "single-tier machine"
+        );
     }
 
     #[test]
@@ -423,12 +402,13 @@ mod tests {
         // every major layer is inside some scope, so the uncovered
         // residual is only the end-of-run harvest glue.
         let hp = prof.host_profile.expect("profiled run carries a profile");
-        let kernel = hp.self_ns[prodigy_sim::Component::Kernel as usize];
-        let walk = hp.self_ns[prodigy_sim::Component::HierarchyWalk as usize];
-        let dig = hp.self_ns[prodigy_sim::Component::DigWalk as usize];
+        let self_ns = |c: prodigy_sim::Component| hp.components[c as usize].self_ns;
+        let kernel = self_ns(prodigy_sim::Component::Kernel);
+        let walk = self_ns(prodigy_sim::Component::HierarchyWalk);
+        let dig = self_ns(prodigy_sim::Component::DigWalk);
         assert!(kernel > 0 && walk > 0 && dig > 0, "{hp:?}");
         assert!(
-            hp.total_self_ns() as f64 >= 0.9 * prof.timing.host_nanos as f64,
+            hp.total_self_ns() as f64 >= 0.9 * hp.host_nanos_total as f64,
             "components must cover >=90% of host time: {} of {}",
             hp.total_self_ns(),
             prof.timing.host_nanos

@@ -173,31 +173,17 @@ fn main() {
             ..RunConfig::default()
         };
         let out = run_workload(k.as_mut(), &cfg);
-        let total = t.elapsed().as_nanos() as u64;
-        let hp = out.host_profile.unwrap_or_default();
+        // The table's total is this block's wall time, which also covers
+        // the workload's instantiation.
+        let hp = prodigy_sim::HostProfile {
+            host_nanos_total: t.elapsed().as_nanos() as u64,
+            ..out.host_profile.unwrap_or_default()
+        };
         eprintln!(
             "host profile (prodigy, {:.1} ms total):",
-            total as f64 / 1e6
+            hp.host_nanos_total as f64 / 1e6
         );
-        for (comp, ns, allocs) in hp.ranked() {
-            if ns == 0 && allocs == 0 {
-                continue;
-            }
-            eprintln!(
-                "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  {}",
-                100.0 * ns as f64 / total.max(1) as f64,
-                ns as f64 / 1e6,
-                allocs,
-                comp.label()
-            );
-        }
-        let other = total.saturating_sub(hp.total_self_ns());
-        eprintln!(
-            "  {:>5.1}%  {:>10.2} ms  {:>10} allocs  other",
-            100.0 * other as f64 / total.max(1) as f64,
-            other as f64 / 1e6,
-            hp.allocs[hostprof::COMPONENTS],
-        );
+        eprint!("{}", hp.render_rows("  "));
         hostprof::set_enabled(false);
         hostprof::reset_thread();
     }
