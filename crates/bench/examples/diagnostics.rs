@@ -6,7 +6,6 @@
 //! cargo run --release -p prodigy-bench --example diagnostics [alg] [dataset] [scale]
 //! ```
 
-use prodigy::ProdigyConfig;
 use prodigy_bench::workload_set::WorkloadSpec;
 use prodigy_sim::{source_tag_label, SystemConfig};
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig};
@@ -61,13 +60,7 @@ fn main() {
             &RunConfig {
                 sys: SystemConfig::bench(),
                 prefetcher: kind,
-                prodigy: ProdigyConfig::default(),
-                classify_llc: false,
-                seed: 0,
-                trace: false,
-                metrics: None,
-                host_profile: true,
-                cancel: None,
+                ..RunConfig::default()
             },
         );
         let s = &out.summary.stats;
@@ -166,26 +159,6 @@ fn main() {
                 l3.prefetched(),
                 l3.untagged,
                 l3.sources.len(),
-            );
-        }
-        // Host self-profile: where this run's *host* time went, ranked by
-        // scope self-time (children excluded, so rows never double-count).
-        if let Some(hp) = &out.host_profile {
-            let total = out.timing.host_nanos.max(1);
-            let rows: Vec<String> = hp
-                .ranked()
-                .into_iter()
-                .filter(|&(_, ns, allocs)| ns > 0 || allocs > 0)
-                .take(4)
-                .map(|(comp, ns, _)| {
-                    format!("{} {:.0}%", comp.label(), 100.0 * ns as f64 / total as f64)
-                })
-                .collect();
-            println!(
-                "  host profile ({:.1} ms): {}  other {:.0}%",
-                total as f64 / 1e6,
-                rows.join("  "),
-                100.0 * total.saturating_sub(hp.total_self_ns()) as f64 / total as f64,
             );
         }
         if let Some(p) = out.prodigy {

@@ -47,6 +47,8 @@
 //! --out merged.json`. Merging the shard reports is byte-identical to
 //! merging the report of one unsharded run.
 
+#![forbid(unsafe_code)]
+
 use prodigy::throttle::ThrottleSpec;
 use prodigy::ProdigyConfig;
 use prodigy_bench::compare::{merge_reports, parse_json};
@@ -62,36 +64,6 @@ use prodigy_sim::{
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig};
 use std::path::Path;
 use std::time::Duration;
-
-/// Counting allocator: forwards to the system allocator, attributing each
-/// allocation to the innermost open host-profiling scope. `note_alloc` is
-/// one relaxed atomic load when profiling is off, so the unprofiled path
-/// costs nothing measurable (the zero-allocation test in the sim crate pins
-/// the disabled layer down). This is the only unsafe code in the repo; the
-/// library crates all `forbid(unsafe_code)`.
-struct CountingAlloc;
-
-// SAFETY: delegates allocation verbatim to `std::alloc::System`; the extra
-// bookkeeping (`note_alloc`) touches only `Cell`-based thread-locals and
-// never allocates, recurses, or unwinds.
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        prodigy_sim::hostprof::note_alloc();
-        unsafe { std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        unsafe { std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        prodigy_sim::hostprof::note_alloc();
-        unsafe { std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Reports a bad-input error and exits with status 2 (the same convention
 /// as `prodigy-diff`).
@@ -112,7 +84,6 @@ fn main() {
     let mut metrics_window: u64 = MetricsConfig::default().window_cycles;
     let mut cell_cache: Option<String> = None;
     let mut shard: Option<ShardSpec> = None;
-    let mut host_profile = false;
     let mut merge = false;
     let mut sweep = SweepConfig::default();
     let mut filters: Vec<String> = Vec::new();
@@ -196,7 +167,6 @@ fn main() {
                 let spec = args.next().unwrap_or_else(|| usage("--shard needs K/N"));
                 shard = Some(ShardSpec::parse(&spec).unwrap_or_else(|e| usage(&e)));
             }
-            "--host-profile" => host_profile = true,
             "--merge" => merge = true,
             "--help" | "-h" => usage(""),
             other if other.starts_with('-') => usage(&format!("unknown flag {other}")),
@@ -243,7 +213,6 @@ fn main() {
     }
 
     let mut ctx = Ctx::new(scale).with_sweep(sweep);
-    ctx.host_profile = host_profile;
     if let Some(c) = cores {
         ctx.sys = ctx.sys.with_cores(c);
     }
@@ -280,7 +249,6 @@ fn main() {
             filter.as_deref(),
             metrics.as_deref(),
             metrics_window,
-            host_profile,
         );
         return;
     }
@@ -372,7 +340,6 @@ prodigy_sim::record!(LatencyQuantiles {
 /// events appear), optionally traced as Chrome trace-event JSON and/or
 /// metered as a windowed metrics time-series with per-DIG-node prefetch
 /// attribution. Finishes with a timeliness summary on stdout.
-#[allow(clippy::too_many_arguments)]
 fn run_single(
     ctx: &Ctx,
     spec: &WorkloadSpec,
@@ -380,7 +347,6 @@ fn run_single(
     filter: Option<&[TraceCategory]>,
     metrics_path: Option<&str>,
     metrics_window: u64,
-    host_profile: bool,
 ) {
     println!(
         "prodigy-eval: {} under prodigy (throttled), scale 1/{}, {} cores, seed {}",
@@ -396,15 +362,13 @@ fn run_single(
                 throttle: Some(ThrottleSpec::default()),
                 ..ProdigyConfig::default()
             },
-            classify_llc: false,
             seed: spec.identity_hash() ^ ctx.sweep.base_seed,
             trace: trace_path.is_some(),
             metrics: metrics_path.map(|_| MetricsConfig {
                 window_cycles: metrics_window,
                 ..MetricsConfig::default()
             }),
-            host_profile,
-            cancel: None,
+            ..RunConfig::default()
         },
     );
     if let Some(path) = trace_path {
@@ -482,13 +446,6 @@ fn run_single(
         "activity: {} dig transitions, {} throttle ups, {} throttle downs",
         tel.dig_transitions, tel.throttle_ups, tel.throttle_downs
     );
-    if let Some(hp) = &outcome.host_profile {
-        println!(
-            "host profile (where the time goes, {:.1} ms total):",
-            hp.host_nanos_total as f64 / 1e6
-        );
-        print!("{}", hp.render_rows("  "));
-    }
 }
 
 fn usage(err: &str) -> ! {
@@ -498,14 +455,12 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: prodigy-eval [--scale N] [--cores N] [--threads N] [--seed N]\n\
          \x20                  [--timeout-secs N] [--out FILE] [--json FILE]\n\
-         \x20                  [--cell-cache DIR] [--shard K/N] [--host-profile]\n\
+         \x20                  [--cell-cache DIR] [--shard K/N]\n\
          \x20                  [--trace FILE [--trace-events cat,cat]]\n\
          \x20                  [--metrics FILE [--metrics-window N]]\n\
          \x20                  [--trace-workload NAME] [experiments...]\n\
          \x20      prodigy-eval --merge SHARD.json... [--out merged.json]\n\
-         experiments: table1 table2 fig02 fig04 fig12 fig13 fig14 fig15 fig16 \
-         fig17 table3 fig18 fig19 ranged swpf storage scalability limits_tc \
-         ext_dobfs ext_throttle\n\
+         experiments: {}\n\
          --trace FILE: skip the experiments; capture one throttled Prodigy\n\
          run (default bfs-lj) as Chrome trace-event JSON (Perfetto-viewable).\n\
          --trace-events: comma list of cache,dram,prefetcher,throttle,tlb,core.\n\
@@ -523,15 +478,12 @@ fn usage(err: &str) -> ! {
          shard K of N (1-based); figures are skipped. stitch the shards'\n\
          --json reports with --merge (byte-identical to merging one\n\
          unsharded run's report).\n\
-         --host-profile: per-component host-time + allocation accounting\n\
-         for every simulated cell (ranked table on stderr; host_profile\n\
-         sections in --json). simulated stats/checksums are byte-identical\n\
-         with or without it — only host telemetry is added.\n\
          determinism: any --threads value yields byte-identical figure tables\n\
          (traces, metrics) for the same --scale/--seed; --seed 0 keeps the\n\
          seed inputs. exit status 3 if any cell failed (see stderr / --json).\n\
          compare two runs: prodigy-diff A.json B.json (sweep --json reports\n\
-         or --metrics dumps)."
+         or --metrics dumps).",
+        EXPERIMENT_NAMES.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

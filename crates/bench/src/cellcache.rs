@@ -148,9 +148,9 @@ mod tests {
     use super::*;
     use prodigy::ProdigyStats;
     use prodigy_sim::{
-        AttributionTable, CpiStack, EnergyBreakdown, HostProfile, LevelOccupancy, LevelStats,
-        Log2Hist, OccupancySnapshot, PollutionCounts, PrefetchUse, RunSummary, RunTiming,
-        SourceCounts, Stats, TelemetrySummary, TierSplit, TierTelemetry, Timeliness,
+        AttributionTable, CpiStack, EnergyBreakdown, LevelOccupancy, LevelStats, Log2Hist,
+        OccupancySnapshot, PollutionCounts, PrefetchUse, RunSummary, RunTiming, SourceCounts,
+        Stats, TelemetrySummary, TierSplit, TierTelemetry, Timeliness,
     };
 
     /// Every persisted field set, and nonzero, through exhaustive struct
@@ -286,7 +286,6 @@ mod tests {
             // Neither is persisted: they read back as their defaults.
             trace: None,
             metrics: None,
-            host_profile: Some(HostProfile::default()),
         }
     }
 
@@ -295,7 +294,6 @@ mod tests {
     fn persisted(out: &RunOutcome) -> String {
         let expected = RunOutcome {
             timing: RunTiming::default(),
-            host_profile: None,
             ..out.clone()
         };
         format!("{expected:?}")

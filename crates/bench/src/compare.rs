@@ -724,14 +724,7 @@ mod tests {
         let txt = sweep_json(1000, 2000)
             .replace("\"wall_nanos\":12345", "\"wall_nanos\":999999")
             .replace("\"host_nanos\":5", "\"host_nanos\":777")
-            .replace("\"busy_nanos\":99", "\"busy_nanos\":1")
-            // A profiled run gains a host_profile section; it must be as
-            // invisible to the diff as the rest of the host timing.
-            .replace(
-                "\"worker\":0,",
-                "\"worker\":0,\"host_profile\":{\"host_nanos_total\":777,\"other_ns\":9,\
-                 \"components\":{\"kernel\":{\"self_ns\":768,\"allocs\":3}}},",
-            );
+            .replace("\"busy_nanos\":99", "\"busy_nanos\":1");
         let b = parse_json(&txt).unwrap();
         let d = diff_reports(&a, &b, 0.02).unwrap();
         assert!(d.changes.is_empty(), "{:?}", d.changes);

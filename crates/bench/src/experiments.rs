@@ -13,7 +13,6 @@ use prodigy_sim::prefetch::Prefetcher;
 use prodigy_sim::{RunTiming, SystemConfig};
 use prodigy_workloads::kernels::PageRank;
 use prodigy_workloads::{run_workload, PrefetcherKind, RunConfig, RunOutcome};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,10 +81,6 @@ pub struct Ctx {
     pub sys: SystemConfig,
     /// Sweep execution knobs (threads, base seed, per-cell timeout).
     pub sweep: SweepConfig,
-    /// Enable per-component host self-profiling for every simulated cell
-    /// (see [`prodigy_sim::hostprof`]). Host telemetry only: simulated
-    /// stats, checksums and telemetry are byte-identical either way.
-    pub host_profile: bool,
     cache: SingleFlightCache<Arc<RunOutcome>>,
     cell_cache: Option<CellCache>,
     code_rev: String,
@@ -103,7 +98,6 @@ fn execute_cell(
     cell: &Cell,
     sys: SystemConfig,
     base_seed: u64,
-    host_profile: bool,
     cancel: Arc<std::sync::atomic::AtomicBool>,
 ) -> RunOutcome {
     let mut kernel = cell.spec.instantiate_seeded(base_seed);
@@ -124,10 +118,8 @@ fn execute_cell(
         },
         classify_llc: cell.classify,
         seed: cell.spec.identity_hash() ^ base_seed,
-        trace: false,
-        metrics: None,
-        host_profile,
         cancel: Some(cancel),
+        ..RunConfig::default()
     };
     run_workload(kernel.as_mut(), &cfg)
 }
@@ -141,7 +133,6 @@ impl Ctx {
             scale,
             sys: SystemConfig::bench(),
             sweep: SweepConfig::default(),
-            host_profile: false,
             cache: SingleFlightCache::new(),
             cell_cache: None,
             code_rev: code_rev(),
@@ -204,9 +195,6 @@ impl Ctx {
                     stats: out.map(CellStats::from_outcome),
                     error,
                     disk_hit,
-                    // Disk hits carry no profile: the cache never persists
-                    // host timing.
-                    host_profile: out.and_then(|o| o.host_profile),
                 });
             };
             if let Some(cc) = &self.cell_cache {
@@ -219,9 +207,8 @@ impl Ctx {
             let owned = cell.clone();
             let sys = self.sys;
             let base_seed = self.sweep.base_seed;
-            let profile = self.host_profile;
             let out = run_isolated(&key, self.sweep.cell_timeout, move |cancel| {
-                execute_cell(&owned, sys, base_seed, profile, cancel)
+                execute_cell(&owned, sys, base_seed, cancel)
             });
             match out {
                 Ok(o) => {
@@ -616,7 +603,7 @@ pub fn fig17(ctx: &Ctx) -> String {
     let algs = per_algorithm(ctx.scale);
     warm_for(ctx, "fig17");
     let mut t = Table::new(&["workload", "A&J", "DROPLET", "IMP", "prodigy"]);
-    let mut collect: HashMap<&str, Vec<f64>> = HashMap::new();
+    let mut rows = Vec::new();
     for spec in &algs {
         let base = ctx.run(&Cell::new(spec.clone(), PrefetcherKind::None));
         let sp = |k: PrefetcherKind| -> Option<f64> {
@@ -629,23 +616,39 @@ pub fn fig17(ctx: &Ctx) -> String {
         let dr = sp(PrefetcherKind::Droplet);
         let im = sp(PrefetcherKind::Imp);
         let pr = sp(PrefetcherKind::Prodigy);
-        for (name, v) in [("aj", aj), ("droplet", dr), ("imp", im), ("prodigy", pr)] {
-            if let Some(v) = v {
-                collect.entry(name).or_default().push(v);
-            }
-        }
         let f = |v: Option<f64>| v.map(x).unwrap_or_else(|| "-".into());
         t.row(vec![spec.alg.to_string(), f(aj), f(dr), f(im), f(pr)]);
+        rows.push([aj, dr, im, pr]);
     }
-    let g = |n: &str| geomean(collect.get(n).map(|v| v.as_slice()).unwrap_or(&[]));
+    let (matched, m) = common_geomeans(&rows, &[0, 1, 2, 3]);
+    let (all, a) = common_geomeans(&rows, &[2, 3]);
     format!(
-        "Fig. 17 — speedup over no-prefetching (paper: Prodigy beats A&J 1.5x, DROPLET 1.6x, IMP 2.3x)\n{}\ngeomean: A&J {}  DROPLET {}  IMP {}  prodigy {}\n",
+        "Fig. 17 — speedup over no-prefetching (paper: Prodigy beats A&J 1.5x, DROPLET 1.6x, IMP 2.3x)\n{}\n\
+         geomean over the {matched} kernels all four ran: A&J {}  DROPLET {}  IMP {}  prodigy {}\n\
+         geomean over all {all} kernels, IMP and prodigy only: IMP {}  prodigy {}\n",
         t.render(),
-        x_opt(g("aj")),
-        x_opt(g("droplet")),
-        x_opt(g("imp")),
-        x_opt(g("prodigy")),
+        x_opt(m[0]),
+        x_opt(m[1]),
+        x_opt(m[2]),
+        x_opt(m[3]),
+        x_opt(a[0]),
+        x_opt(a[1]),
     )
+}
+
+/// The geomean of each column in `cols`, taken over only the rows in which
+/// every one of `cols` has a value, and the number of such rows. Keeps each
+/// of Fig. 17's geomean rows on a single kernel set.
+fn common_geomeans(rows: &[[Option<f64>; 4]], cols: &[usize]) -> (usize, Vec<Option<f64>>) {
+    let common: Vec<_> = rows
+        .iter()
+        .filter(|r| cols.iter().all(|&c| r[c].is_some()))
+        .collect();
+    let means = cols
+        .iter()
+        .map(|&c| geomean(&common.iter().filter_map(|r| r[c]).collect::<Vec<_>>()))
+        .collect();
+    (common.len(), means)
 }
 
 // ---------------------------------------------------------------- Table III
@@ -1052,12 +1055,7 @@ pub fn ext_throttle(ctx: &Ctx) -> String {
                 throttle: Some(ThrottleSpec::default()),
                 ..ProdigyConfig::default()
             },
-            classify_llc: false,
-            seed: 0,
-            trace: false,
-            metrics: None,
-            host_profile: false,
-            cancel: None,
+            ..RunConfig::default()
         },
     );
     let mut t = Table::new(&["variant", "speedup", "prefetch accuracy"]);
@@ -1575,6 +1573,38 @@ mod tests {
         assert!(ctx.cached(&cells[0]), "failure is cached too");
         assert!(ctx.try_run(&cells[0]).is_err());
         assert!(ctx.try_run(&cells[1]).is_ok());
+    }
+
+    #[test]
+    fn fig17_geomeans_use_one_kernel_set_per_row() {
+        // Two graph kernels where every prefetcher ran, one non-graph
+        // kernel where A&J and DROPLET did not: IMP and prodigy are much
+        // faster on the non-graph kernel, so averaging them over it would
+        // skew the matched comparison.
+        let rows = [
+            [Some(2.0), Some(2.0), Some(1.0), Some(4.0)],
+            [Some(8.0), Some(2.0), Some(4.0), Some(4.0)],
+            [None, None, Some(16.0), Some(64.0)],
+        ];
+        assert_eq!(
+            common_geomeans(&rows, &[0, 1, 2, 3]),
+            (
+                2,
+                vec![
+                    geomean(&[2.0, 8.0]),
+                    geomean(&[2.0, 2.0]),
+                    geomean(&[1.0, 4.0]),
+                    geomean(&[4.0, 4.0]),
+                ]
+            )
+        );
+        assert_eq!(
+            common_geomeans(&rows, &[2, 3]),
+            (
+                3,
+                vec![geomean(&[1.0, 4.0, 16.0]), geomean(&[4.0, 4.0, 64.0])]
+            )
+        );
     }
 
     #[test]

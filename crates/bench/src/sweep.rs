@@ -533,11 +533,6 @@ pub struct CellTiming {
     /// Whether the result was loaded from the persistent cell cache rather
     /// than simulated (`timing` then measures the disk load, not a run).
     pub disk_hit: bool,
-    /// Per-component host-time/allocation breakdown; `Some` only when the
-    /// sweep ran with host profiling enabled and the cell was actually
-    /// simulated (disk hits carry no profile). Host telemetry only, like
-    /// `timing`.
-    pub host_profile: Option<prodigy_sim::HostProfile>,
 }
 
 // One entry of a sweep report's `cells` array. `prodigy-diff` compares
@@ -547,7 +542,6 @@ prodigy_sim::record!(CellTiming {
     timing: Nested,
     worker: Null<Counter> = |t: &CellTiming| (t.worker != CALLER_THREAD).then_some(t.worker),
     disk_hit: Bool,
-    host_profile: Null<Nested>,
     stats: Null<Nested>,
     telemetry: Null<Nested>,
     error: Null<Str>,
@@ -598,7 +592,6 @@ prodigy_sim::record!(SweepReport {
     host_nanos_total: Counter = SweepReport::total_cell_nanos,
     cell_host_nanos_p50: Counter = |r: &SweepReport| r.cell_nanos_percentile(0.50),
     cell_host_nanos_p99: Counter = |r: &SweepReport| r.cell_nanos_percentile(0.99),
-    host_profile: Null<Nested> = SweepReport::aggregate_host_profile,
     workers: List,
     errors: List,
     cells: List,
@@ -643,19 +636,6 @@ impl SweepReport {
         v[rank - 1]
     }
 
-    /// Sweep-wide host profile: element-wise sum over every profiled cell.
-    /// `None` when no cell carried a profile (profiling off, or everything
-    /// came from cache).
-    pub fn aggregate_host_profile(&self) -> Option<prodigy_sim::HostProfile> {
-        self.cells
-            .iter()
-            .filter_map(|t| t.host_profile)
-            .reduce(|mut acc, hp| {
-                acc.merge(&hp);
-                acc
-            })
-    }
-
     /// The `n` slowest cells, slowest first.
     pub fn slowest(&self, n: usize) -> Vec<&CellTiming> {
         let mut v: Vec<&CellTiming> = self.cells.iter().collect();
@@ -692,13 +672,6 @@ impl SweepReport {
         }
         for e in &self.errors {
             out.push_str(&format!("  error: {} — {}\n", e.key, e.reason));
-        }
-        if let Some(hp) = self.aggregate_host_profile() {
-            out.push_str(&format!(
-                "  host profile (where the time goes, {:.1} ms profiled):\n{}",
-                hp.host_nanos_total as f64 / 1e6,
-                hp.render_rows("    ")
-            ));
         }
         out
     }
@@ -947,14 +920,6 @@ mod tests {
                 }),
                 error: None,
                 disk_hit: false,
-                host_profile: Some({
-                    let mut hp = prodigy_sim::HostProfile {
-                        host_nanos_total: 42,
-                        ..Default::default()
-                    };
-                    hp.components[prodigy_sim::Component::Kernel as usize].self_ns = 30;
-                    hp
-                }),
             }],
         };
         let text = report.render();
@@ -1012,16 +977,6 @@ mod tests {
             !json.contains("near_load_to_use") && !json.contains("far_load_to_use"),
             "single-tier cells serialize no per-tier rows (baseline byte-identity)"
         );
-        assert!(
-            json.contains("\"host_profile\":{\"host_nanos_total\":42"),
-            "per-cell host profile serialized against the cell's host time"
-        );
-        assert!(
-            text.contains("host profile (where the time goes"),
-            "aggregated ranked table rendered: {text}"
-        );
-        assert!(text.contains("kernel"), "ranked row names the component");
-        assert!(text.contains("other"), "residual reported, not dropped");
         assert_eq!(report.total_cell_nanos(), 42);
         assert_eq!(report.cell_nanos_percentile(0.50), 42);
         assert_eq!(report.cell_nanos_percentile(0.99), 42);

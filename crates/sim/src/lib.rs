@@ -35,7 +35,6 @@ pub mod config;
 pub mod core;
 pub mod energy;
 pub mod fxhash;
-pub mod hostprof;
 pub mod mem;
 pub mod metrics;
 pub mod prefetch;
@@ -46,7 +45,6 @@ pub mod telemetry;
 
 pub use config::{CacheConfig, CoreConfig, DramConfig, FarMemConfig, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use hostprof::{Component, HostProfile, ScopeGuard};
 pub use mem::address_space::{AddressSpace, Tier, TierMap};
 pub use mem::cache::{Provenance, VictimHit};
 pub use mem::hierarchy::{AccessKind, AccessResult, MemorySystem, ServedBy};

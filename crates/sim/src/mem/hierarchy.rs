@@ -13,7 +13,6 @@ use super::coherence::{Directory, Mesi};
 use super::dram::{Dram, DramAccess};
 use super::tlb::Tlb;
 use crate::config::SystemConfig;
-use crate::hostprof::{Component, ScopeGuard};
 use crate::stats::Stats;
 use crate::telemetry::{
     LevelOccupancy, OccupancySnapshot, SourceTag, TelemetrySummary, TraceEvent, TraceEventKind,
@@ -176,7 +175,6 @@ impl MemorySystem {
     /// Routes a line read to the owning tier's controller.
     #[inline]
     fn mem_read(&mut self, line: u64, at: u64) -> (DramAccess, Tier) {
-        let _hp = ScopeGuard::enter(Component::DramTick);
         match self.tier_of(line) {
             Tier::Far => {
                 let far = self
@@ -256,7 +254,6 @@ impl MemorySystem {
     }
 
     fn tlb_latency(&mut self, core: usize, vaddr: u64, now: u64, stats: &mut Stats) -> u64 {
-        let _hp = ScopeGuard::enter(Component::TlbTick);
         if self.tlb[core].access(vaddr) {
             stats.tlb_hits += 1;
             0
@@ -516,7 +513,6 @@ impl MemorySystem {
         now: u64,
         stats: &mut Stats,
     ) -> AccessResult {
-        let _hp = ScopeGuard::enter(Component::HierarchyWalk);
         let line = line_of(vaddr);
         let write = kind == AccessKind::Write;
         let mut lat = self.tlb_latency(core, vaddr, now, stats);
@@ -793,7 +789,6 @@ impl MemorySystem {
         stats: &mut Stats,
         tag: Option<SourceTag>,
     ) -> Option<PrefetchIssued> {
-        let _hp = ScopeGuard::enter(Component::PrefetchIssue);
         let line = line_of(vaddr);
         if self.l1d[core].contains(line) {
             stats.prefetches_redundant += 1;
@@ -923,7 +918,6 @@ impl MemorySystem {
         stats: &mut Stats,
         tag: Option<SourceTag>,
     ) -> Option<PrefetchIssued> {
-        let _hp = ScopeGuard::enter(Component::PrefetchIssue);
         let line = line_of(vaddr);
         let slice = self.slice_of(line);
         if self.l3[slice].contains(line) {
@@ -989,7 +983,6 @@ impl MemorySystem {
     /// map entry per distinct live source), so the metrics sampler can
     /// call it every window.
     pub fn occupancy(&self) -> OccupancySnapshot {
-        let _hp = ScopeGuard::enter(Component::Telemetry);
         let mut snap = OccupancySnapshot::default();
         for c in &self.l1d {
             c.for_each_resident(|l, p| snap.l1.count(l.prefetched, p.src));

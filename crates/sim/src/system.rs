@@ -309,12 +309,7 @@ impl<P: Prefetcher + 'static> System<P> {
                         &mut self.stats,
                         &mut fills[c],
                     );
-                    {
-                        let _hp = crate::hostprof::ScopeGuard::enter(
-                            crate::hostprof::Component::PrefetchTrain,
-                        );
-                        prefetchers[c].on_demand(&mut ctx, &access);
-                    }
+                    prefetchers[c].on_demand(&mut ctx, &access);
                     next_fill[c] = fills[c].peek().map_or(u64::MAX, |r| r.0.at);
                 }
             }
@@ -383,7 +378,6 @@ impl<P: Prefetcher + 'static> System<P> {
                 at: q.at,
             };
             let mut ctx = PrefetchCtx::new(core, q.at, mem, space, stats, queue);
-            let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::PrefetchTrain);
             prefetcher.on_fill(&mut ctx, &event);
         }
     }

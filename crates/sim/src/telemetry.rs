@@ -1105,7 +1105,6 @@ impl Tracer {
     /// (use or unused eviction) resolves it.
     #[inline]
     pub fn prefetch_tag_issued(&mut self, line: u64, tag: SourceTag) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.attribution.counts_mut(tag).issued += 1;
         self.pending_tags.insert(line, tag);
     }
@@ -1122,7 +1121,6 @@ impl Tracer {
         line: u64,
         l1_miss: bool,
     ) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.load_to_use.record(latency);
         if served == ServedBy::Dram {
             self.counters.dram_round_trip.record(latency);
@@ -1151,7 +1149,6 @@ impl Tracer {
         residual: u64,
         slack: u64,
     ) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         if residual == 0 {
             self.counters.timeliness.timely += 1;
             self.counters.fill_to_use.record(slack);
@@ -1180,7 +1177,6 @@ impl Tracer {
     /// Records a prefetched line leaving the hierarchy unused.
     #[inline]
     pub fn prefetch_evicted_unused(&mut self, now: u64, line: u64) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.timeliness.inaccurate += 1;
         if let Some(tag) = self.pending_tags.remove(&line) {
             self.counters.attribution.counts_mut(tag).inaccurate += 1;
@@ -1201,7 +1197,6 @@ impl Tracer {
     /// attribution row, and pollution must not create one).
     #[inline]
     pub fn prefetch_polluted(&mut self, level: usize, src: Option<SourceTag>) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         match level {
             0 => self.counters.pollution.l1 += 1,
             1 => self.counters.pollution.l2 += 1,
@@ -1219,7 +1214,6 @@ impl Tracer {
     /// the drop to its static source when the issuer supplied one.
     #[inline]
     pub fn prefetch_dropped(&mut self, core: usize, now: u64, line: u64, tag: Option<SourceTag>) {
-        let _hp = crate::hostprof::ScopeGuard::enter(crate::hostprof::Component::Telemetry);
         self.counters.timeliness.dropped += 1;
         if let Some(tag) = tag {
             self.counters.attribution.counts_mut(tag).dropped += 1;

@@ -103,12 +103,6 @@ pub struct RunConfig {
     /// tracing, metering never perturbs `Stats`; unmetered runs allocate
     /// nothing.
     pub metrics: Option<MetricsConfig>,
-    /// Profile *host* time per simulator component (see
-    /// [`prodigy_sim::hostprof`]): enables the process-wide profiling
-    /// layer, resets this thread's counters before the run, and snapshots
-    /// them into [`RunOutcome::host_profile`] afterwards. Never perturbs
-    /// simulated `Stats`, telemetry or checksums — only host time grows.
-    pub host_profile: bool,
     /// Cooperative cancellation flag, polled at the phase scheduler's
     /// event-loop boundary. Sweep drivers that abandon a timed-out cell
     /// raise it so the detached worker unwinds promptly (with a
@@ -127,7 +121,6 @@ impl Default for RunConfig {
             seed: 0,
             trace: false,
             metrics: None,
-            host_profile: false,
             cancel: None,
         }
     }
@@ -158,14 +151,10 @@ pub struct RunOutcome {
     pub trace: Option<Vec<TraceEvent>>,
     /// Windowed metrics series, when [`RunConfig::metrics`] was set.
     pub metrics: Option<MetricsRegistry>,
-    /// Per-component host-time/allocation breakdown, when
-    /// [`RunConfig::host_profile`] was set. Host telemetry only — excluded
-    /// from determinism comparisons like [`RunOutcome::timing`].
-    pub host_profile: Option<prodigy_sim::HostProfile>,
 }
 
 // The deterministic subset the persistent cell cache stores: host timing
-// varies run to run, and trace/metrics/host-profile are opt-ins sweep
+// varies run to run, and trace/metrics are opt-ins sweep
 // cells never set, so those read back as their defaults.
 prodigy_sim::record!(RunOutcome {
     summary: Nested,
@@ -185,18 +174,7 @@ prodigy_sim::record!(RunOutcome {
 /// returned stats and checksum are bit-identical on every host and under
 /// any thread interleaving.
 pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
-    if cfg.host_profile {
-        // Enabling is monotonic for the process lifetime: concurrent
-        // profiled cells each account into their own thread-local store,
-        // and a finishing cell must not turn the layer off under a
-        // still-running sibling.
-        prodigy_sim::hostprof::set_enabled(true);
-        prodigy_sim::hostprof::reset_thread();
-    }
     let host_start = std::time::Instant::now();
-    let setup_scope = cfg
-        .host_profile
-        .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Setup));
     // `System<AnyPrefetcher>`: the per-instruction prefetcher dispatch is a
     // match over a closed enum (see `crate::dispatch`), not a vtable call.
     let mut sys: System<AnyPrefetcher> =
@@ -232,14 +210,8 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
         sys.memory_mut()
             .set_llc_miss_classifier_ranges(program.annotated_ranges());
     }
-    drop(setup_scope);
 
-    let checksum = {
-        let _kernel_scope = cfg
-            .host_profile
-            .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Kernel));
-        kernel.run(&mut sys)
-    };
+    let checksum = kernel.run(&mut sys);
 
     let mut prodigy_stats: Option<ProdigyStats> = None;
     let mut storage_bits = 0;
@@ -260,15 +232,10 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
         }
     });
 
-    let telemetry = {
-        let _harvest_scope = cfg
-            .host_profile
-            .then(|| prodigy_sim::ScopeGuard::enter(prodigy_sim::Component::Telemetry));
-        // Stamp the end-of-run cache occupancy into the summary before
-        // harvesting: reports carry the final per-source cache contents.
-        sys.memory_mut().capture_occupancy();
-        sys.telemetry().clone()
-    };
+    // Stamp the end-of-run cache occupancy into the summary before
+    // harvesting: reports carry the final per-source cache contents.
+    sys.memory_mut().capture_occupancy();
+    let telemetry = sys.telemetry().clone();
     let metrics = sys.take_metrics();
     let trace = sys.take_trace_sink().map(|mut s| {
         s.as_any_mut()
@@ -277,10 +244,6 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
             .unwrap_or_default()
     });
     let timing = prodigy_sim::RunTiming::from_elapsed(host_start.elapsed());
-    let host_profile = cfg.host_profile.then(|| prodigy_sim::HostProfile {
-        host_nanos_total: timing.host_nanos,
-        ..prodigy_sim::hostprof::snapshot_thread()
-    });
 
     RunOutcome {
         summary: sys.summary(),
@@ -292,7 +255,6 @@ pub fn run_workload(kernel: &mut dyn Kernel, cfg: &RunConfig) -> RunOutcome {
         telemetry,
         trace,
         metrics,
-        host_profile,
     }
 }
 
@@ -370,48 +332,6 @@ mod tests {
         assert!(
             occ.near.is_none() && occ.far.is_none(),
             "single-tier machine"
-        );
-    }
-
-    #[test]
-    fn host_profile_never_perturbs_simulation_and_accounts_time() {
-        let g = rmat(512, 4096, 2, (0.57, 0.19, 0.19));
-        let base = {
-            let mut k = Bfs::new(g.clone(), 0);
-            run_workload(&mut k, &tiny_cfg(PrefetcherKind::Prodigy))
-        };
-        let prof = {
-            let mut k = Bfs::new(g, 0);
-            let mut cfg = tiny_cfg(PrefetcherKind::Prodigy);
-            cfg.host_profile = true;
-            run_workload(&mut k, &cfg)
-        };
-        assert!(base.host_profile.is_none());
-        // The profiling layer reads no simulated state: everything the
-        // determinism contract covers stays bit-identical.
-        assert_eq!(base.checksum, prof.checksum);
-        assert_eq!(base.summary.stats.cycles, prof.summary.stats.cycles);
-        assert_eq!(
-            base.summary.stats.instructions,
-            prof.summary.stats.instructions
-        );
-        assert_eq!(base.summary.stats.dram_reads, prof.summary.stats.dram_reads);
-        assert_eq!(base.telemetry.load_to_use, prof.telemetry.load_to_use);
-        assert_eq!(base.telemetry.timeliness, prof.telemetry.timeliness);
-        // The breakdown attributes the bulk of the measured host time:
-        // every major layer is inside some scope, so the uncovered
-        // residual is only the end-of-run harvest glue.
-        let hp = prof.host_profile.expect("profiled run carries a profile");
-        let self_ns = |c: prodigy_sim::Component| hp.components[c as usize].self_ns;
-        let kernel = self_ns(prodigy_sim::Component::Kernel);
-        let walk = self_ns(prodigy_sim::Component::HierarchyWalk);
-        let dig = self_ns(prodigy_sim::Component::DigWalk);
-        assert!(kernel > 0 && walk > 0 && dig > 0, "{hp:?}");
-        assert!(
-            hp.total_self_ns() as f64 >= 0.9 * hp.host_nanos_total as f64,
-            "components must cover >=90% of host time: {} of {}",
-            hp.total_self_ns(),
-            prof.timing.host_nanos
         );
     }
 

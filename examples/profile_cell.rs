@@ -155,39 +155,6 @@ fn main() {
         );
     }
 
-    // 4.5 hostprof self-profile of one simulated cell: the same breakdown
-    // `prodigy-eval --host-profile` reports, without sweep machinery. The
-    // ranked table answers "where does host time go" per component with
-    // scope self-time (children excluded), so rows sum to the profiled
-    // total rather than double-counting nested scopes.
-    {
-        use prodigy_sim::hostprof;
-        hostprof::set_enabled(true);
-        hostprof::reset_thread();
-        let t = Instant::now();
-        let mut k = spec.instantiate_seeded(0);
-        let cfg = RunConfig {
-            sys: prodigy_sim::SystemConfig::scaled(scale as u64),
-            prefetcher: PrefetcherKind::Prodigy,
-            host_profile: true,
-            ..RunConfig::default()
-        };
-        let out = run_workload(k.as_mut(), &cfg);
-        // The table's total is this block's wall time, which also covers
-        // the workload's instantiation.
-        let hp = prodigy_sim::HostProfile {
-            host_nanos_total: t.elapsed().as_nanos() as u64,
-            ..out.host_profile.unwrap_or_default()
-        };
-        eprintln!(
-            "host profile (prodigy, {:.1} ms total):",
-            hp.host_nanos_total as f64 / 1e6
-        );
-        eprint!("{}", hp.render_rows("  "));
-        hostprof::set_enabled(false);
-        hostprof::reset_thread();
-    }
-
     // 5. demand_access random-miss throughput (the hierarchy walk alone,
     // no core model): most accesses miss all levels and go to DRAM.
     {
